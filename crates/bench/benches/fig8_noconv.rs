@@ -20,13 +20,13 @@ fn bench(c: &mut Criterion) {
 
         let plan = mod_cfg.plan(n, n, n).unwrap();
         let layouts = layouts_of(&plan);
-        let am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
-        let bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
+        let mut am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
+        let mut bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
         let mut cm = MortonMatrix::zeros(n, n, layouts.c);
 
         g.bench_with_input(BenchmarkId::new("modgemm_noconv", n), &n, |bch, _| {
             bch.iter(|| {
-                modgemm_premorton(&am, &bm, &mut cm, &mod_cfg);
+                modgemm_premorton(&mut am, &mut bm, &mut cm, &mod_cfg);
                 black_box(cm.as_slice());
             })
         });

@@ -91,9 +91,11 @@ pub enum SchedulePolicy {
     /// it. Only [`crate::schedule::Variant::Winograd`] has the low-mem
     /// and in-place linearizations; pinning a non-standard tier with the
     /// Strassen variant is rejected by [`ModgemmConfig::validate`].
-    /// Shared-reference entry points (`modgemm_premorton` and the
-    /// one-shot `try_strassen_mul`) cannot run the input-overwriting
-    /// tier and clamp a pinned `InPlace` to low-mem.
+    /// Every entry point runs every tier, the input-overwriting `InPlace`
+    /// included: each holds its Morton operands exclusively (planned
+    /// executions own packed copies; `modgemm_premorton` and
+    /// `try_strassen_mul` borrow them mutably and get them back
+    /// restored).
     Fixed(crate::schedule::Schedule),
 }
 

@@ -13,9 +13,12 @@
 //! The recursion interprets the selected variant's schedule
 //! ([`crate::schedule::WINOGRAD_SCHEDULE`] by default); the four C
 //! quadrants serve as product scratch (sound because Morton quadrants
-//! never alias), plus four workspace temporaries per level
-//! (`TS`, `TT`, `TP`, `TQ`). Workspace is allocated once, sized by
-//! [`workspace_len`], and consumed stack-wise down the recursion.
+//! never alias), plus the workspace temporaries of the policy's memory
+//! tier per level ([`Schedule::level_temp_elems`]: `TS`, `TT`, `TP`,
+//! `TQ` standard, no `TQ` low-mem, `TP` alone in-place — that tier uses
+//! the A/B quadrants themselves as scratch and restores them). Workspace
+//! is allocated once, sized by [`workspace_len`], and consumed
+//! stack-wise down the recursion.
 
 use modgemm_mat::view::{MatMut, MatRef};
 use modgemm_mat::{KernelKind, LeafKernel, Scalar};
@@ -212,11 +215,11 @@ pub fn workspace_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
 ///
 /// The ladder degrades in preference order:
 ///
-/// 1. **Degrade the schedule tier** (standard → low-mem → in-place, up
-///    to `max_sched`). A cheaper Boyer et al. linearization shrinks
-///    every staged level's temporaries while keeping the full Strassen
-///    arithmetic, every fused level, the parallel shape, *and* the
-///    kernel — the paper's memory/speed trade at its cheapest.
+/// 1. **Degrade the schedule tier** (standard → low-mem → in-place). A
+///    cheaper Boyer et al. linearization shrinks every staged level's
+///    temporaries while keeping the full Strassen arithmetic, every
+///    fused level, the parallel shape, *and* the kernel — the paper's
+///    memory/speed trade at its cheapest.
 /// 2. **Fuse more levels.** Fusing an innermost level removes its staged
 ///    S/T slots without giving up any Strassen arithmetic, so it is
 ///    always tried before dropping depth.
@@ -236,19 +239,17 @@ pub fn budget_capped_policy(
     base: ExecPolicy,
     max_ws_elems: usize,
 ) -> ExecPolicy {
-    budget_capped_policy_with_tier_cap(layouts, base, max_ws_elems, Schedule::InPlace)
+    budget_ladder(layouts, base, max_ws_elems, false)
 }
 
-/// [`budget_capped_policy`] with the schedule-tier rung clamped to
-/// `max_sched`. Shared-reference entry points (the one-shot
-/// [`try_strassen_mul`] wrapper, `modgemm_premorton`) cannot run the
-/// input-overwriting tier, so they cap the ladder at
-/// [`Schedule::LowMem`].
-pub fn budget_capped_policy_with_tier_cap(
+/// [`budget_capped_policy`], optionally skipping rung 1: with
+/// `pinned_schedule` the ladder keeps `base.schedule` on every rung (a
+/// [`crate::config::SchedulePolicy::Fixed`] pin).
+pub(crate) fn budget_ladder(
     layouts: NodeLayouts,
     base: ExecPolicy,
     max_ws_elems: usize,
-    max_sched: Schedule,
+    pinned_schedule: bool,
 ) -> ExecPolicy {
     if workspace_len(layouts, base) <= max_ws_elems {
         return base;
@@ -256,9 +257,9 @@ pub fn budget_capped_policy_with_tier_cap(
     // Rung 1: degrade the schedule tier before anything else. Only the
     // Winograd recurrences have the extra linearizations.
     let mut deepest_sched = base.schedule;
-    if base.variant == Variant::Winograd {
+    if base.variant == Variant::Winograd && !pinned_schedule {
         for sched in Schedule::ALL {
-            if sched <= base.schedule || sched > max_sched {
+            if sched <= base.schedule {
                 continue;
             }
             deepest_sched = sched;
@@ -268,9 +269,9 @@ pub fn budget_capped_policy_with_tier_cap(
             }
         }
     }
-    // Rungs 2+ degrade from the most memory-frugal schedule the caller
-    // permits: keeping the cheap tier while fuse climbs and depth drops
-    // preserves the most Strassen arithmetic per byte.
+    // Rungs 2+ degrade from the most memory-frugal schedule tried:
+    // keeping the cheap tier while fuse climbs and depth drops preserves
+    // the most Strassen arithmetic per byte.
     let base = ExecPolicy { schedule: deepest_sched, ..base };
     // Rung 2: fuse additional innermost levels before sacrificing depth.
     let max_fuse = crate::fuse::MAX_FUSE.min(crate::counts::strassen_levels(layouts, base));
@@ -311,7 +312,8 @@ fn tile_ref<'t, S: Scalar>(buf: &'t [S], l: &MortonLayout) -> MatRef<'t, S> {
     MatRef::from_slice(buf, l.tile_rows, l.tile_cols, l.tile_rows)
 }
 
-/// [`morton_mul_add_with`] on a caller-provided leaf packing workspace —
+/// `C += A·B` by conventional quadrant recursion over Morton buffers with
+/// an explicit leaf kernel, on a caller-provided leaf packing workspace —
 /// the allocation-free form the plan interpreter calls with the arena's
 /// tail slot. `ws` must hold at least the kernel's
 /// [`modgemm_mat::KernelKind::pack_len`] for the leaf tile shape (zero
@@ -321,7 +323,7 @@ fn tile_ref<'t, S: Scalar>(buf: &'t [S], l: &MortonLayout) -> MatRef<'t, S> {
 /// The eight recursive calls follow the operand-reuse ordering of Frens &
 /// Wise (PPoPP'97): consecutive calls share either an `A` or a `B`
 /// operand, improving cache reuse of the just-touched subtree.
-pub fn morton_mul_add_with_ws<S: Scalar>(
+pub fn morton_mul_add_in<S: Scalar>(
     a: &[S],
     b: &[S],
     c: &mut [S],
@@ -352,59 +354,25 @@ pub fn morton_mul_add_with_ws<S: Scalar>(
     let (c21, c22) = rest.split_at_mut(qc);
 
     // Quadrant indices: 0 = NW(11), 1 = NE(12), 2 = SW(21), 3 = SE(22).
-    morton_mul_add_with_ws(aq(0), bq(0), c11, ch, kernel, ws); // C11 += A11·B11
-    morton_mul_add_with_ws(aq(0), bq(1), c12, ch, kernel, ws); // C12 += A11·B12
-    morton_mul_add_with_ws(aq(1), bq(3), c12, ch, kernel, ws); // C12 += A12·B22
-    morton_mul_add_with_ws(aq(1), bq(2), c11, ch, kernel, ws); // C11 += A12·B21
-    morton_mul_add_with_ws(aq(3), bq(2), c21, ch, kernel, ws); // C21 += A22·B21
-    morton_mul_add_with_ws(aq(3), bq(3), c22, ch, kernel, ws); // C22 += A22·B22
-    morton_mul_add_with_ws(aq(2), bq(1), c22, ch, kernel, ws); // C22 += A21·B12
-    morton_mul_add_with_ws(aq(2), bq(0), c21, ch, kernel, ws); // C21 += A21·B11
-}
-
-/// [`morton_mul_add`] with an explicit leaf kernel — the form the
-/// plan/execute machinery threads its plan-time [`KernelKind`] through.
-/// One-shot form: allocates the leaf packing slot itself when the kernel
-/// needs one (planned execution uses [`morton_mul_add_with_ws`] on the
-/// arena tail instead).
-pub fn morton_mul_add_with<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    kernel: KernelKind,
-) {
-    let mut pack =
-        vec![
-            S::ZERO;
-            kernel.pack_len(layouts.a.tile_rows, layouts.a.tile_cols, layouts.b.tile_cols)
-        ];
-    morton_mul_add_with_ws(a, b, c, layouts, kernel, &mut pack);
+    morton_mul_add_in(aq(0), bq(0), c11, ch, kernel, ws); // C11 += A11·B11
+    morton_mul_add_in(aq(0), bq(1), c12, ch, kernel, ws); // C12 += A11·B12
+    morton_mul_add_in(aq(1), bq(3), c12, ch, kernel, ws); // C12 += A12·B22
+    morton_mul_add_in(aq(1), bq(2), c11, ch, kernel, ws); // C11 += A12·B21
+    morton_mul_add_in(aq(3), bq(2), c21, ch, kernel, ws); // C21 += A22·B21
+    morton_mul_add_in(aq(3), bq(3), c22, ch, kernel, ws); // C22 += A22·B22
+    morton_mul_add_in(aq(2), bq(1), c22, ch, kernel, ws); // C22 += A21·B12
+    morton_mul_add_in(aq(2), bq(0), c21, ch, kernel, ws); // C21 += A21·B11
 }
 
 /// `C += A·B` by quadrant recursion over Morton buffers with the default
-/// blocked leaf kernel — the conventional-arithmetic multiply used below
-/// the truncation point.
+/// blocked leaf kernel (which packs nothing) — the conventional-arithmetic
+/// multiply used below the truncation point.
 pub fn morton_mul_add<S: Scalar>(a: &[S], b: &[S], c: &mut [S], layouts: NodeLayouts) {
-    morton_mul_add_with(a, b, c, layouts, KernelKind::Blocked);
+    morton_mul_add_in(a, b, c, layouts, KernelKind::Blocked, &mut []);
 }
 
-/// [`morton_mul`] with an explicit leaf kernel (allocates the leaf
-/// packing slot itself when the kernel needs one).
-pub fn morton_mul_with<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    kernel: KernelKind,
-) {
-    c.fill(S::ZERO);
-    morton_mul_add_with(a, b, c, layouts, kernel);
-}
-
-/// [`morton_mul_with`] on a caller-provided leaf packing workspace (see
-/// [`morton_mul_add_with_ws`]) — the allocation-free overwrite form.
-pub fn morton_mul_with_ws<S: Scalar>(
+/// The overwrite form of [`morton_mul_add_in`]: `C = A·B`.
+pub fn morton_mul_in<S: Scalar>(
     a: &[S],
     b: &[S],
     c: &mut [S],
@@ -413,24 +381,30 @@ pub fn morton_mul_with_ws<S: Scalar>(
     ws: &mut [S],
 ) {
     c.fill(S::ZERO);
-    morton_mul_add_with_ws(a, b, c, layouts, kernel, ws);
+    morton_mul_add_in(a, b, c, layouts, kernel, ws);
 }
 
 /// `C = A·B` (overwrite) by conventional quadrant recursion.
 pub fn morton_mul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], layouts: NodeLayouts) {
-    morton_mul_with(a, b, c, layouts, KernelKind::Blocked);
+    morton_mul_in(a, b, c, layouts, KernelKind::Blocked, &mut []);
 }
 
 /// Fallible core of [`strassen_mul`]: `C = A·B` over Morton buffers with
 /// the Strassen-Winograd recursion truncated per `policy`, reporting
 /// malformed buffers as typed errors instead of panicking.
 ///
+/// Every schedule tier runs here. The operands are borrowed exclusively
+/// because the in-place tier ([`Schedule::InPlace`]) uses their quadrants
+/// as scratch; it restores them before returning — bit-exact on
+/// integers, within rounding error on floats. The other tiers only read
+/// them.
+///
 /// `ws` must have at least [`workspace_len`] elements
 /// ([`GemmError::WorkspaceTooSmall`] otherwise); its contents are
 /// clobbered.
 pub fn try_strassen_mul<S: Scalar>(
-    a: &[S],
-    b: &[S],
+    a: &mut [S],
+    b: &mut [S],
     c: &mut [S],
     layouts: NodeLayouts,
     ws: &mut [S],
@@ -449,26 +423,22 @@ pub fn try_strassen_mul<S: Scalar>(
 /// [`LevelPlan`] list and runs the shared [`mod@crate::plan`] interpreter —
 /// the same code path a precompiled [`crate::GemmPlan`] executes.
 pub fn try_strassen_mul_with_sink<S: Scalar, K: MetricsSink>(
-    a: &[S],
-    b: &[S],
+    a: &mut [S],
+    b: &mut [S],
     c: &mut [S],
     layouts: NodeLayouts,
     ws: &mut [S],
     policy: ExecPolicy,
     sink: &mut K,
 ) -> Result<(), GemmError> {
-    if policy.sched().overwrites_inputs() {
-        return Err(GemmError::InvalidConfig {
-            reason: "the in-place schedule overwrites its operands; \
-                     use try_strassen_mul_mut (or a planned execution)",
-        });
-    }
     check_buffers(a.len(), b.len(), c.len(), layouts)?;
     let needed = workspace_len(layouts, policy);
     if ws.len() < needed {
         return Err(GemmError::WorkspaceTooSmall { needed, got: ws.len() });
     }
-    record_entry_facts::<S, K>(layouts, policy, needed, sink);
+    if K::ENABLED {
+        record_entry_facts::<S, K>(PlanFacts::new(layouts, policy), layouts, policy, needed, sink);
+    }
     let mut buf = [LevelPlan::EMPTY; MAX_LEVELS];
     let count = fill_levels(&mut buf, layouts, policy);
     let peak = crate::plan::exec_levels(
@@ -489,79 +459,21 @@ pub fn try_strassen_mul_with_sink<S: Scalar, K: MetricsSink>(
     Ok(())
 }
 
-/// [`try_strassen_mul`] over *mutable* A/B operands — the entry point
-/// that supports every schedule tier, including the input-overwriting
-/// [`Schedule::InPlace`] (whose restores leave `a`/`b` holding their
-/// original values on return: bit-exact on integers, within rounding
-/// error on floats).
-pub fn try_strassen_mul_mut<S: Scalar>(
-    a: &mut [S],
-    b: &mut [S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    ws: &mut [S],
-    policy: ExecPolicy,
-) -> Result<(), GemmError> {
-    try_strassen_mul_mut_with_sink(a, b, c, layouts, ws, policy, &mut NoopSink)
-}
-
-/// [`try_strassen_mul_mut`] reporting execution metrics through `sink`.
-pub fn try_strassen_mul_mut_with_sink<S: Scalar, K: MetricsSink>(
-    a: &mut [S],
-    b: &mut [S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    ws: &mut [S],
-    policy: ExecPolicy,
-    sink: &mut K,
-) -> Result<(), GemmError> {
-    check_buffers(a.len(), b.len(), c.len(), layouts)?;
-    let needed = workspace_len(layouts, policy);
-    if ws.len() < needed {
-        return Err(GemmError::WorkspaceTooSmall { needed, got: ws.len() });
-    }
-    record_entry_facts::<S, K>(layouts, policy, needed, sink);
-    let mut buf = [LevelPlan::EMPTY; MAX_LEVELS];
-    let count = fill_levels(&mut buf, layouts, policy);
-    let peak = crate::plan::exec_levels_mut(
-        a,
-        b,
-        c,
-        layouts,
-        &buf[..count],
-        0,
-        &mut ws[..needed],
-        policy,
-        sink,
-    );
-    debug_assert_eq!(peak, needed, "measured workspace high-water mark vs closed form");
-    if K::ENABLED {
-        sink.record_workspace_used(peak, peak * core::mem::size_of::<S>());
-    }
-    Ok(())
-}
-
-/// Records the plan-level facts every one-shot entry point reports.
-fn record_entry_facts<S: Scalar, K: MetricsSink>(
+/// Records the plan-level facts every execution reports before it
+/// computes: the plan, the `ws_len`-element workspace reservation, the
+/// concrete leaf kernel, and its modeled packing traffic.
+pub(crate) fn record_entry_facts<S: Scalar, K: MetricsSink>(
+    facts: PlanFacts,
     layouts: NodeLayouts,
     policy: ExecPolicy,
-    needed: usize,
+    ws_len: usize,
     sink: &mut K,
 ) {
     if !K::ENABLED {
         return;
     }
-    let (m, k, n) = layouts.dims();
-    sink.record_plan(PlanFacts {
-        padded: (m, k, n),
-        depth: layouts.a.depth,
-        strassen_levels: crate::counts::strassen_levels(layouts, policy),
-        fused_levels: fused_levels(layouts, policy),
-        schedule: policy.sched(),
-        flops: crate::counts::strassen_flops(layouts, policy),
-        conventional_flops: crate::counts::conventional_flops(m, k, n),
-    });
-    sink.record_workspace(needed, needed * core::mem::size_of::<S>());
+    sink.record_plan(facts);
+    sink.record_workspace(ws_len, ws_len * core::mem::size_of::<S>());
     let (tm, tk, tn) = (layouts.a.tile_rows, layouts.a.tile_cols, layouts.b.tile_cols);
     sink.record_kernel(policy.kernel.resolve(tm, tk, tn));
     sink.record_bytes_packed(crate::counts::packed_bytes(
@@ -591,7 +503,8 @@ pub(crate) fn check_buffers(
 }
 
 /// `C = A·B` over Morton buffers with the Strassen-Winograd recursion
-/// truncated per `policy`.
+/// truncated per `policy` (every schedule tier; see [`try_strassen_mul`]
+/// for why the operands are borrowed mutably).
 ///
 /// `ws` must have at least [`workspace_len`] elements; its contents are
 /// clobbered.
@@ -600,8 +513,8 @@ pub(crate) fn check_buffers(
 /// On the conditions [`try_strassen_mul`] reports as errors.
 #[track_caller]
 pub fn strassen_mul<S: Scalar>(
-    a: &[S],
-    b: &[S],
+    a: &mut [S],
+    b: &mut [S],
     c: &mut [S],
     layouts: NodeLayouts,
     ws: &mut [S],
@@ -642,9 +555,7 @@ mod tests {
         to_morton(a.view(), Op::NoTrans, &la, &mut ab);
         to_morton(b.view(), Op::NoTrans, &lb, &mut bb);
         let mut ws = vec![S::ZERO; workspace_len(layouts, policy)];
-        // The mut entry point supports every schedule tier (including
-        // in-place); shared-ref tiers go through the same interpreter.
-        try_strassen_mul_mut(&mut ab, &mut bb, &mut cb, layouts, &mut ws, policy).unwrap();
+        try_strassen_mul(&mut ab, &mut bb, &mut cb, layouts, &mut ws, policy).unwrap();
         let mut out = Matrix::zeros(a.rows(), b.cols());
         from_morton(&cb, &lc, out.view_mut());
         out
@@ -799,28 +710,37 @@ mod tests {
         let (a0, b0) = (ab.clone(), bb.clone());
         let policy = ExecPolicy { schedule: Schedule::InPlace, ..Default::default() };
         let mut ws = vec![0i64; workspace_len(layouts, policy)];
-        try_strassen_mul_mut(&mut ab, &mut bb, &mut cb, layouts, &mut ws, policy).unwrap();
+        try_strassen_mul(&mut ab, &mut bb, &mut cb, layouts, &mut ws, policy).unwrap();
         assert_eq!(ab, a0, "A not restored");
         assert_eq!(bb, b0, "B not restored");
+        let mut c_std = vec![0i64; la.len()];
+        let std = ExecPolicy::default();
+        let mut ws = vec![0i64; workspace_len(layouts, std)];
+        strassen_mul(&mut ab, &mut bb, &mut c_std, layouts, &mut ws, std);
+        assert_eq!(cb, c_std, "in-place tier must be bitwise standard on integers");
     }
 
     #[test]
-    fn shared_ref_entry_rejects_in_place_schedule() {
+    fn single_entry_runs_every_tier_with_typed_checks() {
         let l = MortonLayout::new(4, 4, 1);
         let layouts = NodeLayouts::new(l, l, l);
-        let a = vec![0.0f64; l.len()];
-        let b = vec![0.0f64; l.len()];
-        let mut c = vec![0.0f64; l.len()];
-        let policy = ExecPolicy { schedule: Schedule::InPlace, ..Default::default() };
-        let mut ws = vec![0.0f64; workspace_len(layouts, policy)];
-        assert!(matches!(
-            try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, policy),
-            Err(GemmError::InvalidConfig { .. })
-        ));
-        // The low-mem tier preserves inputs, so the shared entry runs it.
-        let policy = ExecPolicy { schedule: Schedule::LowMem, ..Default::default() };
-        let mut ws = vec![0.0f64; workspace_len(layouts, policy)];
-        assert_eq!(try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, policy), Ok(()));
+        for schedule in Schedule::ALL {
+            let mut a = vec![1.0f64; l.len()];
+            let mut b = vec![2.0f64; l.len()];
+            let mut c = vec![f64::NAN; l.len()];
+            let policy = ExecPolicy { schedule, ..Default::default() };
+            let needed = workspace_len(layouts, policy);
+            let mut short = vec![0.0f64; needed - 1];
+            assert_eq!(
+                try_strassen_mul(&mut a, &mut b, &mut c, layouts, &mut short, policy),
+                Err(GemmError::WorkspaceTooSmall { needed, got: needed - 1 }),
+                "{schedule}"
+            );
+            let mut ws = vec![0.0f64; needed];
+            assert_eq!(try_strassen_mul(&mut a, &mut b, &mut c, layouts, &mut ws, policy), Ok(()));
+            // Every entry of C is an 8-term dot product of 1·2.
+            assert!(c.iter().all(|&x| x == 16.0), "{schedule}");
+        }
     }
 
     #[test]
@@ -896,29 +816,29 @@ mod tests {
     fn rejects_undersized_workspace() {
         let l = MortonLayout::new(4, 4, 1);
         let layouts = NodeLayouts::new(l, l, l);
-        let a = vec![0.0f64; l.len()];
-        let b = vec![0.0f64; l.len()];
+        let mut a = vec![0.0f64; l.len()];
+        let mut b = vec![0.0f64; l.len()];
         let mut c = vec![0.0f64; l.len()];
         let mut ws = vec![0.0f64; 10];
-        strassen_mul(&a, &b, &mut c, layouts, &mut ws, ExecPolicy::default());
+        strassen_mul(&mut a, &mut b, &mut c, layouts, &mut ws, ExecPolicy::default());
     }
 
     #[test]
     fn try_strassen_mul_reports_typed_errors() {
         let l = MortonLayout::new(4, 4, 1);
         let layouts = NodeLayouts::new(l, l, l);
-        let a = vec![0.0f64; l.len()];
-        let b = vec![0.0f64; l.len()];
+        let mut a = vec![0.0f64; l.len()];
+        let mut b = vec![0.0f64; l.len()];
         let mut c = vec![0.0f64; l.len()];
         let mut ws = vec![0.0f64; 10];
         assert_eq!(
-            try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, ExecPolicy::default()),
+            try_strassen_mul(&mut a, &mut b, &mut c, layouts, &mut ws, ExecPolicy::default()),
             Err(GemmError::WorkspaceTooSmall { needed: 64, got: 10 })
         );
-        let short_a = vec![0.0f64; l.len() - 1];
+        let mut short_a = vec![0.0f64; l.len() - 1];
         let mut ws = vec![0.0f64; 64];
         assert_eq!(
-            try_strassen_mul(&short_a, &b, &mut c, layouts, &mut ws, ExecPolicy::default()),
+            try_strassen_mul(&mut short_a, &mut b, &mut c, layouts, &mut ws, ExecPolicy::default()),
             Err(GemmError::BufferLenMismatch {
                 operand: Operand::A,
                 needed: l.len(),
@@ -926,7 +846,7 @@ mod tests {
             })
         );
         assert_eq!(
-            try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, ExecPolicy::default()),
+            try_strassen_mul(&mut a, &mut b, &mut c, layouts, &mut ws, ExecPolicy::default()),
             Ok(())
         );
     }
@@ -982,23 +902,18 @@ mod tests {
     }
 
     #[test]
-    fn tier_cap_keeps_shared_ref_paths_out_of_in_place() {
+    fn pinned_schedule_ladder_never_changes_the_tier() {
         let l = MortonLayout::new(4, 4, 3);
         let layouts = NodeLayouts::new(l, l, l);
-        let base = ExecPolicy::default();
-        let lowmem = workspace_len(layouts, ExecPolicy { schedule: Schedule::LowMem, ..base });
-        // A budget only the in-place tier could satisfy at full depth:
-        // the LowMem-capped ladder must degrade something else instead.
-        let capped =
-            budget_capped_policy_with_tier_cap(layouts, base, lowmem - 1, Schedule::LowMem);
-        assert_ne!(capped.schedule, Schedule::InPlace);
-        assert!(workspace_len(layouts, capped) < lowmem);
-        // Every budget still yields a fitting, never-in-place policy.
-        let full = workspace_len(layouts, base);
-        for budget in 0..=full {
-            let p = budget_capped_policy_with_tier_cap(layouts, base, budget, Schedule::LowMem);
-            assert!(workspace_len(layouts, p) <= budget, "budget {budget}");
-            assert_ne!(p.schedule, Schedule::InPlace, "budget {budget}");
+        for sched in Schedule::ALL {
+            let base = ExecPolicy { schedule: sched, ..Default::default() };
+            // Every budget yields a fitting policy on the pinned tier:
+            // fuse and recursion depth give way instead.
+            for budget in 0..=workspace_len(layouts, base) {
+                let p = budget_ladder(layouts, base, budget, true);
+                assert!(workspace_len(layouts, p) <= budget, "{sched} budget {budget}");
+                assert_eq!(p.schedule, sched, "{sched} budget {budget}");
+            }
         }
     }
 

@@ -190,7 +190,7 @@ pub fn fused_mul_with_ws<S: Scalar>(
 /// recursion applied to all combo terms in lockstep — quadrant selection
 /// distributes over the sums, so every term (and destination) shifts by
 /// the same quadrant offset. The eight calls keep the Frens-Wise
-/// operand-reuse ordering of [`crate::exec::morton_mul_add_with_ws`].
+/// operand-reuse ordering of [`crate::exec::morton_mul_add_in`].
 #[allow(clippy::too_many_arguments)]
 fn fused_mul_add_rec<S: Scalar>(
     a: &[S],

@@ -26,15 +26,10 @@ use modgemm_morton::MortonLayout;
 
 use crate::config::{ModgemmConfig, SchedulePolicy};
 use crate::error::try_grow;
-use crate::exec::{
-    budget_capped_policy_with_tier_cap, strassen_mul, workspace_len, ExecPolicy, NodeLayouts,
-};
+use crate::exec::{budget_ladder, workspace_len, ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::parallel::{
-    effective_par_depth, parallel_slab_len, try_strassen_mul_parallel_in_threads,
-};
-use crate::plan::GemmPlan;
-use crate::pool::resolve_threads;
+use crate::plan::{effective_par_depth, parallel_slab_len, GemmPlan, TiledPlan};
+use crate::pool::{resolve_threads, PoolScratch};
 use crate::schedule::{Schedule, Variant};
 
 pub use crate::error::GemmError;
@@ -268,7 +263,11 @@ pub(crate) fn batch_buffer_needs<S: Scalar>(
     cfg: &ModgemmConfig,
 ) -> Option<(usize, usize, usize, usize)> {
     let (a, b, c, ws) = buffer_needs::<S>(m, k, n, cfg)?;
-    let threads = crate::pool::resolve_threads(cfg.threads);
+    // Workers come from the effective (tuned) configuration: that is the
+    // count the item plan resolves and `BatchPlan` sizes its window from,
+    // and a profile or forced choice may pin it while `cfg.threads` is 0.
+    let eff = crate::tune::effective_config(cfg, m, k, n).map(|(c, _)| c).unwrap_or(*cfg);
+    let threads = resolve_threads(eff.threads);
     if batch < 2 || threads < 2 {
         return Some((a, b, c, ws));
     }
@@ -277,7 +276,6 @@ pub(crate) fn batch_buffer_needs<S: Scalar>(
     // form. The slab term uses the same `ws` the single-item estimate
     // chose (serial-arena floor included), so `w = 1` degenerates to the
     // per-item sizing exactly.
-    let eff = crate::tune::effective_config(cfg, m, k, n).map(|(c, _)| c).unwrap_or(*cfg);
     let requested = if eff.batch_window > 0 { eff.batch_window } else { (2 * threads).max(2) };
     let per_slot = a + b + c + ws;
     let w = crate::counts::batch_window_cap(
@@ -349,11 +347,11 @@ impl<S: Scalar> GemmContext<S> {
     }
 
     /// Elements held by the Strassen workspace arena alone — the part of
-    /// [`Self::footprint`] that [`crate::config::MemoryBudget`] caps on
-    /// the serial path (the three Morton conversion buffers are sized by
-    /// the operands and are not subject to the budget; the parallel
-    /// executor's slab pool lives here too and may exceed the budget,
-    /// exactly like the per-node temporaries it replaced).
+    /// [`Self::footprint`] that [`crate::config::MemoryBudget`] caps (the
+    /// three Morton conversion buffers are sized by the operands and are
+    /// not subject to the budget). The parallel executor's slab lives
+    /// here too and is capped the same way: the plan sheds DAG depth
+    /// until the slab fits, and runs serially when no DAG level does.
     pub fn workspace_footprint(&self) -> usize {
         self.ws.capacity()
     }
@@ -493,28 +491,16 @@ pub(crate) fn scale_in_place<S: Scalar>(beta: S, c: &mut MatMut<'_, S>) {
 /// low-mem → in-place), then fuse depth climbs, then recursion depth
 /// degrades toward the conventional path until the workspace fits.
 pub(crate) fn capped_policy<S: Scalar>(layouts: NodeLayouts, cfg: &ModgemmConfig) -> ExecPolicy {
-    capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::InPlace)
-}
-
-/// [`capped_policy`] with the schedule-tier ladder clamped to `cap` —
-/// shared-reference entry points (which cannot hand the executor mutable
-/// operands) pass [`Schedule::LowMem`]; planned execution, which owns
-/// its packed Morton buffers, permits every tier.
-pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
-    layouts: NodeLayouts,
-    cfg: &ModgemmConfig,
-    cap: Schedule,
-) -> ExecPolicy {
     // Auto resolves here, once per plan: the stored policy always carries
     // a concrete kernel, so execution and arena sizing agree.
     let (tm, tk, tn) = (layouts.a.tile_rows, layouts.a.tile_cols, layouts.b.tile_cols);
     let kernel = cfg.leaf_kernel.resolve(tm, tk, tn);
     // A Fixed schedule pins the tier (the ladder neither climbs past it
     // nor starts below it); Auto starts at standard and lets the budget
-    // ladder walk down to `cap`.
-    let (sched0, max_sched) = match cfg.schedule {
-        SchedulePolicy::Auto => (Schedule::Standard, cap),
-        SchedulePolicy::Fixed(s) => (s.min(cap), s.min(cap)),
+    // ladder walk down to in-place.
+    let (sched0, pinned) = match cfg.schedule {
+        SchedulePolicy::Auto => (Schedule::Standard, false),
+        SchedulePolicy::Fixed(s) => (s, true),
     };
     let mut base = ExecPolicy {
         strassen_min: cfg.strassen_min,
@@ -538,7 +524,7 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     }
     .min(crate::counts::strassen_levels(layouts, base));
     let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
-    let mut policy = budget_capped_policy_with_tier_cap(layouts, base, budget, max_sched);
+    let mut policy = budget_ladder(layouts, base, budget, pinned);
     // Schedule-and-fuse before par-depth: the serial ladder above only
     // degrades when the *serial* workspace is over budget, but a
     // parallel run multiplies workspace across concurrent subtrees.
@@ -546,7 +532,7 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     // schedule tier is tried first (it shrinks every leaf subtree's
     // arena share while keeping all the arithmetic), then fusing
     // another innermost level, before
-    // [`crate::parallel::effective_par_depth`] sacrifices a DAG level.
+    // [`crate::plan::effective_par_depth`] sacrifices a DAG level.
     // The climb stops as soon as degrading stops buying DAG depth, so
     // an unconstrained budget never over-degrades.
     if cfg.parallel_depth > 0 && resolve_threads(cfg.threads) >= 2 {
@@ -564,7 +550,7 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
                 if best_depth >= cfg.parallel_depth {
                     break 'climb;
                 }
-                if sched < policy.schedule || sched > max_sched {
+                if sched < policy.schedule || (pinned && sched != policy.schedule) {
                     continue;
                 }
                 if sched != policy.schedule && policy.variant != Variant::Winograd {
@@ -585,59 +571,40 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     policy
 }
 
-/// Runs the Morton core (`D ← A·B`) with the configured execution policy
-/// (memory budget applied).
-pub(crate) fn run_core<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    cfg: &ModgemmConfig,
-) {
-    // This entry holds `a`/`b` behind shared references, so the
-    // input-overwriting tier is off the table: the ladder (and a pinned
-    // `SchedulePolicy::Fixed(InPlace)`) clamp at low-mem here.
-    let policy = capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::LowMem);
-    match effective_par_depth::<S>(layouts, policy, cfg) {
-        Some(depth) => {
-            let mut slab = vec![S::ZERO; parallel_slab_len(layouts, policy, depth)];
-            if let Err(e) = try_strassen_mul_parallel_in_threads(
-                a,
-                b,
-                c,
-                layouts,
-                policy,
-                depth,
-                resolve_threads(cfg.threads),
-                &mut slab,
-            ) {
-                panic!("{e}");
-            }
-        }
-        None => {
-            let mut ws = vec![S::ZERO; workspace_len(layouts, policy)];
-            strassen_mul(a, b, c, layouts, &mut ws, policy);
-        }
-    }
-}
-
 /// Figure 8 mode: multiply operands that are *already* in Morton order,
 /// skipping all conversion. Computes `C ← A·B` (α = 1, β = 0).
 ///
+/// This compiles the strategy a [`GemmPlan`] compiles, for the caller's
+/// layouts under `cfg` as given (memory budget, schedule tier, fuse depth
+/// and task DAG all apply; no tuning profile is consulted), and runs it
+/// once on freshly allocated workspace. `a` and `b`
+/// are borrowed mutably because the in-place schedule tier uses their
+/// quadrants as scratch; it restores them before returning (exactly on
+/// integers, within rounding on floats).
+///
 /// # Panics
 /// If the layouts are incompatible (depths differ or tile dimensions do
-/// not chain) or logical dimensions do not chain.
+/// not chain) or logical dimensions do not chain, and on the errors the
+/// executor reports (a contained worker panic is re-raised with its
+/// message).
 #[track_caller]
 pub fn modgemm_premorton<S: Scalar>(
-    a: &MortonMatrix<S>,
-    b: &MortonMatrix<S>,
+    a: &mut MortonMatrix<S>,
+    b: &mut MortonMatrix<S>,
     c: &mut MortonMatrix<S>,
     cfg: &ModgemmConfig,
 ) {
     assert_eq!(a.cols, b.rows, "logical inner dimensions differ");
     assert_eq!((c.rows, c.cols), (a.rows, b.cols), "C logical dims mismatch");
     let layouts = NodeLayouts::new(a.layout, b.layout, c.layout);
-    run_core(&a.buf, &b.buf, &mut c.buf, layouts, cfg);
+    let tp = TiledPlan::new::<S>(layouts, cfg, resolve_threads(cfg.threads));
+    let mut ws = vec![S::ZERO; tp.ws_len()];
+    let mut scratch = PoolScratch::default();
+    if let Err(e) =
+        tp.run(&mut a.buf, &mut b.buf, &mut c.buf, &mut ws, &mut scratch, None, &mut NoopSink)
+    {
+        panic!("{e}");
+    }
 }
 
 #[cfg(test)]
@@ -813,12 +780,79 @@ mod tests {
         let (a, b, _): (Matrix<f64>, _, _) = random_problem(n, n, n, 100);
         let plan = cfg.plan(n, n, n).unwrap();
         let layouts = layouts_of(&plan);
-        let am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
-        let bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
+        let mut am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
+        let mut bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
         let mut cm = MortonMatrix::zeros(n, n, layouts.c);
-        modgemm_premorton(&am, &bm, &mut cm, &cfg);
+        modgemm_premorton(&mut am, &mut bm, &mut cm, &cfg);
         let got = cm.to_matrix();
         assert_matrix_eq(got.view(), naive_product(&a, &b).view(), n);
+    }
+
+    #[test]
+    fn pooled_premorton_is_bitwise_strassen_mul_on_i64() {
+        // The Figure 8 mode runs the plan's compiled strategy: with a DAG
+        // level on two workers it must reproduce the serial executor bit
+        // for bit, and every schedule tier — the in-place one included,
+        // which scratches the operands — must hand them back unchanged.
+        let n = 64;
+        let a: Matrix<i64> = random_matrix(n, n, 200);
+        let b: Matrix<i64> = random_matrix(n, n, 201);
+        let l = MortonLayout::new(8, 8, 3);
+        let layouts = NodeLayouts::new(l, l, l);
+        let mut ab = MortonMatrix::pack(a.view(), Op::NoTrans, l);
+        let mut bb = MortonMatrix::pack(b.view(), Op::NoTrans, l);
+        let (a0, b0) = (ab.buf.clone(), bb.buf.clone());
+        let mut expect = vec![0i64; l.len()];
+        let mut ws = vec![0i64; workspace_len(layouts, ExecPolicy::default())];
+        crate::exec::strassen_mul(
+            &mut ab.buf,
+            &mut bb.buf,
+            &mut expect,
+            layouts,
+            &mut ws,
+            ExecPolicy::default(),
+        );
+        for schedule in [SchedulePolicy::Auto, SchedulePolicy::Fixed(Schedule::InPlace)] {
+            let cfg =
+                ModgemmConfig { parallel_depth: 1, threads: 2, schedule, ..Default::default() };
+            let tp = TiledPlan::new::<i64>(layouts, &cfg, 2);
+            assert!(tp.par.is_some(), "{schedule:?}: two workers must compile a DAG");
+            let mut cm = MortonMatrix::zeros(n, n, l);
+            modgemm_premorton(&mut ab, &mut bb, &mut cm, &cfg);
+            assert_eq!(cm.buf, expect, "{schedule:?}");
+            assert_eq!((&ab.buf, &bb.buf), (&a0, &b0), "{schedule:?}: operands restored");
+        }
+        assert_eq!(ab.to_matrix(), a);
+    }
+
+    #[test]
+    fn batch_estimate_follows_forced_threads() {
+        // A forced choice pins more workers than the machine default
+        // while `cfg.threads` stays 0: the admission estimate must size
+        // the same window the batch plan runs.
+        let auto = resolve_threads(0);
+        let choice = crate::tune::TunedChoice {
+            tile_min: 16,
+            tile_max: 64,
+            strassen_min: 0,
+            kernel: modgemm_mat::KernelKind::Blocked,
+            parallel_depth: 1,
+            threads: auto + 2,
+            fuse_depth: 0,
+            batch_window: 0,
+            schedule: Schedule::Standard,
+        };
+        let cfg =
+            ModgemmConfig { tuning: crate::tune::TuningMode::Forced(choice), ..Default::default() };
+        // Larger than the old (untuned) window on any host.
+        let batch = 16.max(2 * (auto + 2));
+        let (m, k, n) = (96, 96, 96);
+        let bp = crate::batch::BatchPlan::<f64>::try_new(m, k, n, batch, &cfg).unwrap();
+        let tp = bp.item_plan().tiled().expect("tiled item plan");
+        let slot =
+            crate::counts::batch_slot_elems(tp.layouts, tp.policy, bp.item_plan().parallel_depth());
+        let (a, b, c, ws) = batch_buffer_needs::<f64>(m, k, n, batch, &cfg).unwrap();
+        assert_eq!(a + b + c + ws, bp.window() * slot, "window {}", bp.window());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * [`gemm::modgemm_timed`] — same, reporting the conversion/compute
 //!   breakdown (Figure 7).
 //! * [`gemm::modgemm_premorton`] — operands already in Morton order
-//!   (Figure 8).
+//!   (Figure 8), run through the same compiled strategy as a plan.
 //! * [`exec::strassen_mul`] / [`exec::morton_mul`] — the raw Morton-buffer
 //!   executors.
 //! * [`plan::plan`] / [`plan::execute`] — the plan/execute split: compile
@@ -44,7 +44,6 @@ pub mod faults;
 pub mod fuse;
 pub mod gemm;
 pub mod metrics;
-pub mod parallel;
 pub mod plan;
 pub mod pool;
 pub mod rect;
@@ -71,12 +70,7 @@ pub use metrics::{
     CacheTotals, CollectingSink, ExecMetrics, MetricsSink, NoopSink, PlanFacts, PoolStats,
     ServiceStats,
 };
-pub use parallel::{
-    parallel_slab_len, strassen_mul_parallel, try_strassen_mul_parallel,
-    try_strassen_mul_parallel_in, try_strassen_mul_parallel_in_threads,
-    try_strassen_mul_parallel_with_sink,
-};
-pub use plan::{execute, plan, GemmPlan, LevelPlan};
+pub use plan::{execute, parallel_slab_len, plan, GemmPlan, LevelPlan};
 pub use pool::{
     resolve_threads, try_resolve_threads, CancelToken, ThreadPool, MODGEMM_THREADS_ENV,
 };

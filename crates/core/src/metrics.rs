@@ -16,8 +16,10 @@
 //!   overhead, the conversion/compute breakdown, and — when fed from a
 //!   `modgemm-cachesim` traced run — cache hit/miss totals.
 //!
-//! Entry points accepting a sink: [`crate::exec::try_strassen_mul_with_sink`],
-//! [`crate::parallel::try_strassen_mul_parallel_with_sink`], and
+//! Entry points accepting a sink: [`crate::exec::try_strassen_mul_with_sink`]
+//! (the serial Morton executor), [`crate::plan::GemmPlan::try_execute_with_metrics`]
+//! (serial or pooled, whichever the plan compiled),
+//! [`crate::batch::BatchPlan::try_execute_with_metrics`], and
 //! [`crate::gemm::try_modgemm_with_metrics`]. The baselines mirror them in
 //! `modgemm-baselines::instrumented`.
 
@@ -25,6 +27,7 @@ use std::time::Duration;
 
 use modgemm_mat::KernelKind;
 
+use crate::exec::{ExecPolicy, NodeLayouts};
 use crate::gemm::GemmBreakdown;
 use crate::schedule::Schedule;
 
@@ -52,6 +55,24 @@ pub struct PlanFacts {
     /// Modeled flops a conventional multiply of the padded problem would
     /// perform ([`crate::counts::conventional_flops`]).
     pub conventional_flops: u64,
+}
+
+impl PlanFacts {
+    /// The facts of running `layouts` under `policy`, from the
+    /// [`crate::counts`] closed forms — the one constructor every
+    /// executor's plan report goes through.
+    pub(crate) fn new(layouts: NodeLayouts, policy: ExecPolicy) -> Self {
+        let (m, k, n) = layouts.dims();
+        PlanFacts {
+            padded: (m, k, n),
+            depth: layouts.a.depth,
+            strassen_levels: crate::counts::strassen_levels(layouts, policy),
+            fused_levels: crate::exec::fused_levels(layouts, policy),
+            schedule: policy.sched(),
+            flops: crate::counts::strassen_flops(layouts, policy),
+            conventional_flops: crate::counts::conventional_flops(m, k, n),
+        }
+    }
 }
 
 /// Cache-simulation totals (fed from `modgemm-cachesim` traced runs).

@@ -38,17 +38,16 @@ use modgemm_morton::par_convert::{par_from_morton_with, par_to_morton_with};
 use crate::config::{ModgemmConfig, NonFinitePolicy, VerifyMode};
 use crate::error::{try_grow, try_zeroed_vec, GemmError, Operand};
 use crate::exec::{
-    check_buffers, fused_levels, fused_tail_len, morton_mul_with_ws, staged_step, workspace_len,
-    ExecPolicy, NodeLayouts,
+    check_buffers, fused_levels, fused_tail_len, morton_mul_in, record_entry_facts, staged_step,
+    workspace_len, ExecPolicy, NodeLayouts,
 };
 use crate::gemm::{
     capped_policy, has_non_finite, layouts_of, scale_in_place, GemmBreakdown, GemmContext,
 };
 use crate::metrics::{MetricsSink, NoopSink, PlanFacts};
-use crate::parallel::{effective_par_depth, parallel_slab_len};
-use crate::pool::{CancelToken, PoolTiles, ThreadPool};
+use crate::pool::{resolve_threads, run_graph, CancelToken, PoolScratch, PoolTiles, ThreadPool};
 use crate::rect;
-use crate::schedule::{ASlot, AddKind, BSlot, Schedule, Step};
+use crate::schedule::{ASlot, AddKind, BSlot, Schedule, Step, Variant};
 use crate::verify::verify_gemm;
 
 /// Upper bound on Strassen levels a plan can hold in stack storage.
@@ -147,51 +146,12 @@ pub(crate) fn fill_levels(
     count
 }
 
-/// The shared-reference entry to the schedule interpreter, for
-/// non-overwriting tiers (standard / low-mem): the A/B operands are
-/// borrowed shared and are never written. Returns the measured peak
-/// arena occupancy in elements (see [`exec_levels_raw`]).
+/// The safe entry to the schedule interpreter over exclusively borrowed
+/// operands — legal for every tier, including the in-place one (whose
+/// schedule overwrites, then restores, the A/B quadrants). Returns the
+/// measured peak arena occupancy in elements (see [`exec_levels_raw`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_levels<S: Scalar, K: MetricsSink>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    levels: &[LevelPlan],
-    li: usize,
-    arena: &mut [S],
-    policy: ExecPolicy,
-    sink: &mut K,
-) -> usize {
-    debug_assert!(
-        !policy.sched().overwrites_inputs(),
-        "the in-place tier needs mutable operands (exec_levels_mut)"
-    );
-    // SAFETY: a non-overwriting schedule never takes an A/B quadrant as
-    // an addition destination (proved by the schedule-module tests and
-    // re-asserted per step in debug builds), so the interpreter only ever
-    // reads through these pointers — the `*mut` casts are never written.
-    unsafe {
-        exec_levels_raw(
-            a.as_ptr() as *mut S,
-            b.as_ptr() as *mut S,
-            c,
-            layouts,
-            levels,
-            li,
-            arena,
-            policy,
-            sink,
-        )
-    }
-}
-
-/// The mutable-operand entry to the schedule interpreter, required by the
-/// in-place tier (whose schedule overwrites — and restores — the A/B
-/// quadrants) and legal for every tier. Returns the measured peak arena
-/// occupancy in elements.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_levels_mut<S: Scalar, K: MetricsSink>(
     a: &mut [S],
     b: &mut [S],
     c: &mut [S],
@@ -236,9 +196,7 @@ pub(crate) fn exec_levels_mut<S: Scalar, K: MetricsSink>(
 /// (`layouts.a.len()` / `layouts.b.len()` elements), valid for reads for
 /// the duration of the call, with no other access to them while it runs.
 /// When `policy.sched().overwrites_inputs()` they must also be valid for
-/// writes (the in-place schedule writes and then restores the quadrants);
-/// non-overwriting tiers never write through them, so shared borrows cast
-/// to `*mut` are sound for those.
+/// writes (the in-place schedule writes and then restores the quadrants).
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
     a: *mut S,
@@ -268,7 +226,7 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
             if f > 0 {
                 crate::fuse::fused_mul_with_ws(av, bv, c, layouts, f, policy.kernel, arena);
             } else {
-                morton_mul_with_ws(av, bv, c, layouts, policy.kernel, arena);
+                morton_mul_in(av, bv, c, layouts, policy.kernel, arena);
             }
         };
         if K::ENABLED {
@@ -344,8 +302,8 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
     // of one allocation plus `&mut` workspace reborrows), so creating one
     // mutable and up to two shared slices is sound as long as the indices
     // differ — which every call site checks. A mutable slice over an
-    // input-quadrant entry is only ever created under the in-place tier,
-    // whose entry points hold exclusive operand borrows.
+    // input-quadrant entry is only ever created under the in-place tier;
+    // every caller holds the operands exclusively (see the contract).
     unsafe fn slot_mut<'x, S, const N: usize>(
         t: &mut [(*mut S, usize); N],
         i: usize,
@@ -755,6 +713,54 @@ impl DagBuilder {
     }
 }
 
+/// Closed-form size (in elements) of the slab the task DAG carves for a
+/// node of `layouts` under `policy` with `par_depth` parallel levels: per
+/// parallel Winograd level, 8 operand temporaries (`S1..S4` of `qa`
+/// elements, `T1..T4` of `qb`) plus 3 product temporaries (`P1`, `P2`,
+/// `P5` of `qc`), then seven child slabs; at the serial handover, one
+/// [`workspace_len`] arena per subtree.
+pub fn parallel_slab_len(layouts: NodeLayouts, policy: ExecPolicy, par_depth: usize) -> usize {
+    if par_depth == 0 || !staged_step(layouts, policy) || policy.variant != Variant::Winograd {
+        return workspace_len(layouts, policy);
+    }
+    let per_node =
+        4 * layouts.a.quadrant_len() + 4 * layouts.b.quadrant_len() + 3 * layouts.c.quadrant_len();
+    per_node + 7 * parallel_slab_len(layouts.child(), policy, par_depth - 1)
+}
+
+/// The parallel DAG depth a plan will actually execute with under `cfg`
+/// — `None` means "run serially".
+///
+/// This is where the memory budget meets the parallel slab: the serial
+/// recursion depth was already budget-capped by
+/// [`crate::exec::budget_capped_policy`] against [`workspace_len`], but
+/// parallel execution multiplies workspace across concurrent subtrees
+/// ([`parallel_slab_len`]). A tight budget therefore caps the *DAG
+/// depth* (worker parallelism) first, stepping `par_depth` down until
+/// the slab fits, and only falls back to fully-serial execution — never
+/// to a shallower Strassen recursion — when even one parallel level is
+/// too big.
+pub(crate) fn effective_par_depth<S: Scalar>(
+    layouts: NodeLayouts,
+    policy: ExecPolicy,
+    cfg: &ModgemmConfig,
+) -> Option<usize> {
+    if cfg.parallel_depth == 0 || resolve_threads(cfg.threads) < 2 {
+        return None;
+    }
+    if policy.variant != Variant::Winograd || !staged_step(layouts, policy) {
+        return None;
+    }
+    let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
+    // Only the *staged* levels lower to DAG nodes: a fused subtree runs
+    // sequentially inside its Leaf task.
+    let mut depth = cfg.parallel_depth.min(crate::counts::staged_levels(layouts, policy));
+    while depth > 0 && parallel_slab_len(layouts, policy, depth) > budget {
+        depth -= 1;
+    }
+    (depth > 0).then_some(depth)
+}
+
 /// Lowers `depth` parallel Winograd levels of `layouts` under `policy`
 /// into a [`TaskGraph`] whose slab places match [`parallel_slab_len`]'s
 /// carving exactly.
@@ -782,7 +788,9 @@ pub(crate) struct ParPlan {
 
 /// The tiled (non-split) execution strategy of a [`GemmPlan`]: the fixed
 /// layout tree, budget-capped policy, flattened level list, and the arena
-/// sizes the executors will carve.
+/// sizes the executors will carve. It is also the whole executor behind
+/// [`crate::gemm::modgemm_premorton`], which compiles one over the
+/// caller's own Morton layouts.
 #[derive(Clone, Debug)]
 pub(crate) struct TiledPlan {
     pub(crate) layouts: NodeLayouts,
@@ -798,6 +806,115 @@ pub(crate) struct TiledPlan {
     /// budget that only admits the serial arena).
     pub(crate) par: Option<ParPlan>,
     pub(crate) facts: PlanFacts,
+}
+
+impl TiledPlan {
+    /// Compiles the strategy for `layouts` under `cfg` (already the
+    /// effective, tuned configuration) with `threads` resolved workers:
+    /// the budget-capped policy, the flattened level list, the serial
+    /// arena and, when the budget and worker count admit one, the task
+    /// DAG with its slab.
+    pub(crate) fn new<S: Scalar>(
+        layouts: NodeLayouts,
+        cfg: &ModgemmConfig,
+        threads: usize,
+    ) -> Self {
+        let policy = capped_policy::<S>(layouts, cfg);
+        let mut levels = vec![LevelPlan::EMPTY; MAX_LEVELS];
+        let count = fill_levels(&mut levels, layouts, policy);
+        levels.truncate(count);
+        let arena_len = workspace_len(layouts, policy);
+        let par = effective_par_depth::<S>(layouts, policy, cfg).map(|depth| {
+            let graph = lower_dag(layouts, policy, depth);
+            let mut level_layouts = Vec::with_capacity(depth + 1);
+            let mut l = layouts;
+            for i in 0..=depth {
+                level_layouts.push(l);
+                if i < depth {
+                    // Never step past the leaf (depth can reach it).
+                    l = l.child();
+                }
+            }
+            ParPlan { slab_len: graph.slab_len, graph, level_layouts }
+        });
+        let facts = PlanFacts::new(layouts, policy);
+        TiledPlan { layouts, policy, levels, arena_len, threads, par, facts }
+    }
+
+    /// Workspace elements [`Self::run`] carves: the DAG slab when one was
+    /// compiled (never less than the serial arena), the serial arena
+    /// otherwise.
+    pub(crate) fn ws_len(&self) -> usize {
+        self.par.as_ref().map_or(self.arena_len, |p| p.slab_len.max(self.arena_len))
+    }
+
+    /// `C = A·B` over packed Morton buffers: the task DAG on the pool
+    /// when one was compiled, the serial interpreter otherwise. `ws` must
+    /// hold at least [`Self::ws_len`] elements (contents clobbered; it
+    /// need not be zeroed). A/B are borrowed exclusively because the
+    /// in-place tier scratches their quadrants; it restores them before
+    /// returning (exactly on integers, within rounding on floats).
+    ///
+    /// The token is checked at every task dequeue of the DAG, and once
+    /// before the serial interpreter (which is not interruptible
+    /// mid-recursion). On an error `C` holds garbage.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<S: Scalar, K: MetricsSink>(
+        &self,
+        a: &mut [S],
+        b: &mut [S],
+        c: &mut [S],
+        ws: &mut [S],
+        scratch: &mut PoolScratch,
+        cancel: Option<&CancelToken>,
+        sink: &mut K,
+    ) -> Result<(), GemmError> {
+        check_buffers(a.len(), b.len(), c.len(), self.layouts)?;
+        let ws_need = self.ws_len();
+        if ws.len() < ws_need {
+            return Err(GemmError::WorkspaceTooSmall { needed: ws_need, got: ws.len() });
+        }
+        record_entry_facts::<S, K>(self.facts, self.layouts, self.policy, ws_need, sink);
+        if let Some(pp) = &self.par {
+            // The pooled executor reports the same per-level time
+            // vocabulary as the serial interpreter (each worker books its
+            // tasks' exclusive times, merged per level at the join), plus
+            // the pool counters.
+            run_graph(
+                &pp.graph,
+                &self.levels,
+                &pp.level_layouts,
+                self.policy,
+                self.threads,
+                a,
+                b,
+                c,
+                &mut ws[..pp.slab_len],
+                scratch,
+                cancel,
+                sink,
+            )?;
+            if K::ENABLED {
+                // The DAG partitions its whole slab by construction; the
+                // measured occupancy is the slab itself.
+                sink.record_workspace_used(pp.slab_len, pp.slab_len * core::mem::size_of::<S>());
+            }
+        } else {
+            if let Some(token) = cancel {
+                token.check()?;
+            }
+            let ws = &mut ws[..self.arena_len];
+            let peak = exec_levels(a, b, c, self.layouts, &self.levels, 0, ws, self.policy, sink);
+            debug_assert_eq!(
+                peak, self.arena_len,
+                "measured peak workspace disagrees with the planned arena"
+            );
+            if K::ENABLED {
+                sink.record_workspace_used(peak, peak * core::mem::size_of::<S>());
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A precompiled MODGEMM execution plan for one `m × k × n` problem
@@ -865,38 +982,7 @@ impl<S: Scalar> GemmPlan<S> {
             // in `try_execute_with_metrics` handle them.
             None
         } else {
-            eff.plan(m, k, n).map(|tiling| {
-                let layouts = layouts_of(&tiling);
-                let policy = capped_policy::<S>(layouts, &eff);
-                let mut levels = vec![LevelPlan::EMPTY; MAX_LEVELS];
-                let count = fill_levels(&mut levels, layouts, policy);
-                levels.truncate(count);
-                let arena_len = workspace_len(layouts, policy);
-                let par = effective_par_depth::<S>(layouts, policy, &eff).map(|depth| {
-                    let graph = lower_dag(layouts, policy, depth);
-                    let mut level_layouts = Vec::with_capacity(depth + 1);
-                    let mut l = layouts;
-                    for i in 0..=depth {
-                        level_layouts.push(l);
-                        if i < depth {
-                            // Never step past the leaf (depth can reach it).
-                            l = l.child();
-                        }
-                    }
-                    ParPlan { slab_len: graph.slab_len, graph, level_layouts }
-                });
-                let (pm, pk, pn) = layouts.dims();
-                let facts = PlanFacts {
-                    padded: (pm, pk, pn),
-                    depth: layouts.a.depth,
-                    strassen_levels: crate::counts::strassen_levels(layouts, policy),
-                    fused_levels: fused_levels(layouts, policy),
-                    schedule: policy.sched(),
-                    flops: crate::counts::strassen_flops(layouts, policy),
-                    conventional_flops: crate::counts::conventional_flops(pm, pk, pn),
-                };
-                TiledPlan { layouts, policy, levels, arena_len, threads, par, facts }
-            })
+            eff.plan(m, k, n).map(|tiling| TiledPlan::new::<S>(layouts_of(&tiling), &eff, threads))
         };
         Ok(Self { m, k, n, cfg: *cfg, strategy, profile_hit, _marker: PhantomData })
     }
@@ -931,10 +1017,7 @@ impl<S: Scalar> GemmPlan<S> {
     /// context: the serial arena, or the parallel slab when
     /// `parallel_depth > 0`. Zero for split or degenerate plans.
     pub fn arena_len(&self) -> usize {
-        match &self.strategy {
-            Some(tp) => tp.arena_len.max(tp.par.as_ref().map_or(0, |p| p.slab_len)),
-            None => 0,
-        }
+        self.strategy.as_ref().map_or(0, TiledPlan::ws_len)
     }
 
     /// Effective parallel recursion depth the compiled plan will execute
@@ -1262,8 +1345,8 @@ impl<S: Scalar> GemmPlan<S> {
         Ok(bd)
     }
 
-    /// The tiled fast path: pack, run the compiled level list (or the
-    /// parallel executor on its slab), unpack. All buffers come from
+    /// The tiled fast path: pack, run the compiled strategy
+    /// ([`TiledPlan::run`]), unpack. All buffers come from
     /// `ctx`; any growth is recorded as temp allocations, so a warm
     /// context records none — the allocation-free hot path.
     #[allow(clippy::too_many_arguments)]
@@ -1283,7 +1366,7 @@ impl<S: Scalar> GemmPlan<S> {
         sink: &mut K,
     ) -> Result<GemmBreakdown, GemmError> {
         let layouts = tp.layouts;
-        let ws_need = tp.par.as_ref().map_or(tp.arena_len, |p| p.slab_len.max(tp.arena_len));
+        let ws_need = tp.ws_len();
         // Conversion tiling runs on the same pool as the compute DAG,
         // under the same resolved thread count.
         let pooled_convert = cfg.parallel_convert && tp.threads >= 2;
@@ -1305,61 +1388,7 @@ impl<S: Scalar> GemmPlan<S> {
         let t1 = Instant::now();
         let cbuf = try_grow(&mut ctx.c_buf, layouts.c.len())?;
         let ws = try_grow(&mut ctx.ws, ws_need)?;
-        check_buffers(abuf.len(), bbuf.len(), cbuf.len(), layouts)?;
-        if K::ENABLED {
-            sink.record_plan(tp.facts);
-            sink.record_workspace(ws_need, ws_need * core::mem::size_of::<S>());
-            // Auto was resolved at plan time; the stored kind is concrete.
-            sink.record_kernel(tp.policy.kernel);
-            sink.record_bytes_packed(crate::counts::packed_bytes(
-                layouts,
-                tp.policy,
-                core::mem::size_of::<S>(),
-            ));
-        }
-        if let Some(pp) = &tp.par {
-            // The pooled executor reports the same per-level time
-            // vocabulary as the serial interpreter (each worker books its
-            // tasks' exclusive times, merged per level at the join), plus
-            // the pool counters — no coarser-than-serial caveat. The
-            // mutable-operand entry is required by the in-place tier
-            // (leaf subtrees overwrite and restore their raw quadrants)
-            // and equivalent for the others.
-            crate::pool::run_graph_mut(
-                &pp.graph,
-                &tp.levels,
-                &pp.level_layouts,
-                tp.policy,
-                tp.threads,
-                abuf,
-                bbuf,
-                cbuf,
-                &mut ws[..pp.slab_len],
-                &mut ctx.pool,
-                cancel,
-                sink,
-            )?;
-            if K::ENABLED {
-                // The DAG partitions its whole slab by construction; the
-                // measured occupancy is the slab itself.
-                sink.record_workspace_used(pp.slab_len, pp.slab_len * core::mem::size_of::<S>());
-            }
-        } else {
-            // The serial interpreter is not interruptible mid-recursion;
-            // its cancellation granularity is the whole compute.
-            if let Some(token) = cancel {
-                token.check()?;
-            }
-            let peak =
-                exec_levels_mut(abuf, bbuf, cbuf, layouts, &tp.levels, 0, ws, tp.policy, sink);
-            debug_assert_eq!(
-                peak, tp.arena_len,
-                "measured peak workspace disagrees with the planned arena"
-            );
-            if K::ENABLED {
-                sink.record_workspace_used(peak, peak * core::mem::size_of::<S>());
-            }
-        }
+        tp.run(abuf, bbuf, cbuf, ws, &mut ctx.pool, cancel, sink)?;
         let compute = t1.elapsed();
 
         if K::ENABLED {
@@ -1745,6 +1774,163 @@ mod tests {
         assert!(pool.tasks_executed > 0);
     }
 
+    /// A staged (unfused) config pinned to `tile`-sized leaves, so an
+    /// `n = tile << depth` problem plans exactly `depth` levels.
+    fn fixed_tile_cfg(
+        tile: usize,
+        kernel: KernelKind,
+        par_depth: usize,
+        threads: usize,
+    ) -> ModgemmConfig {
+        ModgemmConfig {
+            truncation: Truncation::Fixed(tile),
+            leaf_kernel: kernel,
+            fuse_depth: crate::config::FuseDepth::Fixed(0),
+            parallel_depth: par_depth,
+            threads,
+            ..Default::default()
+        }
+    }
+
+    /// Runs `p` on `a`/`b` through `ctx` and returns the product.
+    fn run_plan<S: Scalar>(
+        p: &GemmPlan<S>,
+        a: &Matrix<S>,
+        b: &Matrix<S>,
+        ctx: &mut GemmContext<S>,
+    ) -> Matrix<S> {
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        p.execute(a.view(), b.view(), c.view_mut(), ctx);
+        c
+    }
+
+    #[test]
+    fn pooled_parallel_levels_match_serial_bitwise() {
+        // (n, tile, par_depth): one and two DAG levels, a DAG depth past
+        // the recursion depth (clamped), and DAG depth 0 (serial).
+        for (n, tile, par_depth, seed) in
+            [(64usize, 8usize, 1usize, 1u64), (96, 12, 2, 2), (32, 8, 5, 3), (32, 8, 0, 4)]
+        {
+            let a: Matrix<f64> = random_matrix(n, n, seed);
+            let b: Matrix<f64> = random_matrix(n, n, seed + 1);
+            let serial: GemmPlan<f64> =
+                plan(n, n, n, &fixed_tile_cfg(tile, KernelKind::Blocked, 0, 1));
+            let c_ser = run_plan(&serial, &a, &b, &mut GemmContext::new());
+            modgemm_mat::norms::assert_matrix_eq(c_ser.view(), naive_product(&a, &b).view(), n);
+            // Same products, same kernels, same associativity ⇒ bitwise
+            // equal at every worker count, on a context a different
+            // product left dirty.
+            for threads in [2, 3, 7] {
+                let cfg = fixed_tile_cfg(tile, KernelKind::Blocked, par_depth, threads);
+                let p: GemmPlan<f64> = plan(n, n, n, &cfg);
+                assert_eq!(p.parallel_depth() > 0, par_depth > 0, "n = {n}");
+                let mut ctx = GemmContext::new();
+                let _ = run_plan(&p, &b, &a, &mut ctx);
+                assert_eq!(
+                    run_plan(&p, &a, &b, &mut ctx),
+                    c_ser,
+                    "n = {n} par_depth = {par_depth} threads = {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_packed_kernel_matches_serial_and_reports_it() {
+        let a: Matrix<f64> = random_matrix(64, 64, 51);
+        let b: Matrix<f64> = random_matrix(64, 64, 52);
+        let serial: GemmPlan<f64> = plan(64, 64, 64, &fixed_tile_cfg(16, KernelKind::Packed, 0, 1));
+        let pooled: GemmPlan<f64> = plan(64, 64, 64, &fixed_tile_cfg(16, KernelKind::Packed, 1, 2));
+        assert_eq!(pooled.parallel_depth(), 1);
+
+        // Each worker's slab share carries its own packing slot, so the
+        // pooled run must be bitwise identical to the serial one.
+        let mut ctx = GemmContext::new();
+        let mut c_par: Matrix<f64> = Matrix::zeros(64, 64);
+        let mut sink = CollectingSink::new();
+        pooled
+            .try_execute_with_metrics(
+                1.0,
+                Op::NoTrans,
+                a.view(),
+                Op::NoTrans,
+                b.view(),
+                0.0,
+                c_par.view_mut(),
+                &mut ctx,
+                &mut sink,
+            )
+            .unwrap();
+        assert_eq!(c_par, run_plan(&serial, &a, &b, &mut GemmContext::new()));
+
+        let m = sink.into_metrics();
+        let tp = pooled.tiled().expect("tiled plan");
+        assert_eq!(m.kernel_selected, Some(KernelKind::Packed));
+        assert_eq!(
+            m.bytes_packed,
+            crate::counts::packed_bytes(tp.layouts, tp.policy, core::mem::size_of::<f64>())
+        );
+        assert!(m.bytes_packed > 0);
+    }
+
+    #[test]
+    fn pooled_parallel_with_fused_leaves_matches_staged_serial() {
+        // Depth 3 with fuse 2 leaves exactly one *staged* level for the
+        // DAG; each Leaf task then runs a two-level fused subtree. The
+        // pooled run must agree bit-for-bit (i64) with both the serial
+        // fused executor and the fully staged oracle, at every worker
+        // count — this is the test the TSan job drives to race-check
+        // fused execution under real concurrency.
+        let a: Matrix<i64> = random_matrix(64, 64, 61);
+        let b: Matrix<i64> = random_matrix(64, 64, 62);
+        let staged = fixed_tile_cfg(8, KernelKind::Packed, 0, 1);
+        let fused = |par_depth, threads| ModgemmConfig {
+            fuse_depth: crate::config::FuseDepth::Fixed(2),
+            ..fixed_tile_cfg(8, KernelKind::Packed, par_depth, threads)
+        };
+        let c_oracle = run_plan(&plan(64, 64, 64, &staged), &a, &b, &mut GemmContext::new());
+        assert_eq!(c_oracle, naive_product(&a, &b));
+        let serial_fused: GemmPlan<i64> = plan(64, 64, 64, &fused(0, 1));
+        assert_eq!(serial_fused.fused_levels(), 2);
+        let c_fused = run_plan(&serial_fused, &a, &b, &mut GemmContext::new());
+        assert_eq!(c_fused, c_oracle, "serial fused vs staged oracle");
+
+        for threads in [2, 4] {
+            let p: GemmPlan<i64> = plan(64, 64, 64, &fused(1, threads));
+            assert_eq!((p.parallel_depth(), p.fused_levels()), (1, 2));
+            let mut ctx = GemmContext::new();
+            let _ = run_plan(&p, &b, &a, &mut ctx);
+            assert_eq!(run_plan(&p, &a, &b, &mut ctx), c_oracle, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn integers_stay_exact_in_parallel() {
+        // Two DAG levels at a worker count well above one level's task
+        // count.
+        let n = 32;
+        let a: Matrix<i64> = random_matrix(n, n, 9);
+        let b: Matrix<i64> = random_matrix(n, n, 10);
+        let p: GemmPlan<i64> = plan(n, n, n, &fixed_tile_cfg(4, KernelKind::Blocked, 2, 16));
+        assert_eq!(p.parallel_depth(), 2);
+        assert_eq!(run_plan(&p, &a, &b, &mut GemmContext::new()), naive_product(&a, &b));
+    }
+
+    #[test]
+    fn parallel_slab_model_matches_legacy_temp_total() {
+        // The slab is exactly the sum the old per-node `vec!` temporaries
+        // added up to: 4qa + 4qb + 3qc per parallel Winograd level, times
+        // 7 per child, plus one serial workspace per handover subtree.
+        let l = MortonLayout::new(8, 8, 3);
+        let layouts = NodeLayouts::new(l, l, l);
+        let policy = ExecPolicy::default();
+        let q = l.quadrant_len();
+        let expect = 11 * q + 7 * workspace_len(layouts.child(), policy);
+        assert_eq!(parallel_slab_len(layouts, policy, 1), expect);
+        // Handover cases degenerate to the serial workspace.
+        assert_eq!(parallel_slab_len(layouts, policy, 0), workspace_len(layouts, policy));
+    }
+
     #[test]
     fn tight_budget_caps_parallel_depth_before_recursion_depth() {
         // The budget bugfix: a budget that admits the serial workspace but
@@ -1767,7 +1953,7 @@ mod tests {
             let l = MortonLayout::new(16, 16, 3); // 128 = 16·2^3
             let layouts = NodeLayouts::new(l, l, l);
             let policy = crate::gemm::capped_policy::<f64>(layouts, &cfg0);
-            crate::parallel::parallel_slab_len(layouts, policy, 1)
+            parallel_slab_len(layouts, policy, 1)
         };
         let cfg1 = ModgemmConfig {
             memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(slab1 * 8),
@@ -1830,11 +2016,11 @@ mod tests {
         assert_eq!(policy0.schedule, Schedule::Standard, "unlimited budget keeps standard");
         let at =
             |schedule: Schedule, fuse: usize| crate::exec::ExecPolicy { schedule, fuse, ..policy0 };
-        let slab2 = |p| crate::parallel::parallel_slab_len(layouts, p, 2);
+        let slab2 = |p| parallel_slab_len(layouts, p, 2);
         let slab2_lm = slab2(at(Schedule::LowMem, 1));
         let slab2_ip = slab2(at(Schedule::InPlace, 1));
         let slab2_f2 = slab2(at(Schedule::Standard, 2));
-        let slab1_std = crate::parallel::parallel_slab_len(layouts, policy0, 1);
+        let slab1_std = parallel_slab_len(layouts, policy0, 1);
         let ws_ip = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 1));
         let ws_ip_f2 = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 2));
         assert!(slab2_lm < slab2(policy0), "low-mem must shrink the DAG slab");
@@ -1911,12 +2097,9 @@ mod tests {
         );
         let serial_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(ws_ip * 8));
         assert_eq!(serial_policy.kernel, KernelKind::Packed, "kernel survives the schedule rungs");
-        let old_ladder = crate::exec::budget_capped_policy_with_tier_cap(
-            layouts,
-            policy0,
-            ws_ip,
-            Schedule::Standard,
-        );
+        // The same ladder with the tier pinned at standard, i.e. without
+        // the schedule rungs.
+        let old_ladder = crate::exec::budget_ladder(layouts, policy0, ws_ip, true);
         assert!(
             crate::counts::strassen_levels(layouts, old_ladder) < 4
                 || old_ladder.kernel != KernelKind::Packed,

@@ -659,11 +659,6 @@ struct BatchIo<S> {
     geom: BatchGeom,
     alpha: S,
     beta: S,
-    /// Writable aliases of the job's packed A/B arenas (its `a`/`b`
-    /// views): a convert task writes its slot range strictly before any
-    /// compute task of that slot reads it (DAG edges).
-    pack_a: RawViewMut<S>,
-    pack_b: RawViewMut<S>,
     /// Compute-kind task bodies currently in flight.
     active_compute: AtomicUsize,
     /// Nanos spent in conversion/epilogue chunk bodies, and the portion
@@ -673,7 +668,12 @@ struct BatchIo<S> {
 }
 
 /// One pooled execution of a compiled [`TaskGraph`]: the borrowed
-/// buffers and graph as raw views, plus the job-lifetime atomics.
+/// buffers and graph as raw views, plus the job-lifetime atomics. The
+/// packed A/B operands are exclusive borrows like C: the in-place tier's
+/// leaf subtrees scratch (and restore) their raw operand quadrants, and
+/// batch convert tasks pack into their window slots — in both cases the
+/// DAG's edges order every write of a region before or after all of its
+/// readers.
 ///
 /// A fresh (small, fixed-size) `GraphJob` is built per run; the bulky
 /// mutable state lives in the caller's [`PoolScratch`]. A stale pool
@@ -684,8 +684,8 @@ struct GraphJob<S> {
     graph: RawView<TaskGraph>,
     levels: RawView<LevelPlan>,
     level_layouts: RawView<NodeLayouts>,
-    a: RawView<S>,
-    b: RawView<S>,
+    a: RawViewMut<S>,
+    b: RawViewMut<S>,
     c: RawViewMut<S>,
     slab: RawViewMut<S>,
     deps: RawView<AtomicU32>,
@@ -741,7 +741,7 @@ impl<S: Scalar> GraphJob<S> {
 
     /// Resolves an operand place against its base buffer or the slab.
     /// SAFETY: region disjointness per the DAG's edges.
-    unsafe fn src<'a>(&'a self, base: &'a RawView<S>, p: Place, len: usize) -> &'a [S] {
+    unsafe fn src<'a>(&'a self, base: &'a RawViewMut<S>, p: Place, len: usize) -> &'a [S] {
         if p.in_slab {
             self.slab.get(p.off, len)
         } else {
@@ -750,21 +750,15 @@ impl<S: Scalar> GraphJob<S> {
     }
 
     /// Resolves an operand place to a raw pointer for
-    /// [`exec_levels_raw`]. The `*mut` cast is only ever written through
-    /// when the policy runs the in-place schedule — and that tier is
-    /// reachable solely via [`run_graph_mut`], whose operand views carry
-    /// write-capable (`&mut`-derived) provenance. Slab regions always
-    /// have it.
+    /// [`exec_levels_raw`]. Operand and slab views alike derive from
+    /// exclusive borrows, so the pointer carries write provenance — which
+    /// the in-place schedule uses to scratch and restore its quadrants.
     ///
     /// SAFETY: region disjointness per the DAG's edges.
-    unsafe fn src_ptr(&self, base: &RawView<S>, p: Place, len: usize) -> *mut S {
-        if p.in_slab {
-            debug_assert!(p.off + len <= self.slab.len);
-            self.slab.ptr.add(p.off)
-        } else {
-            debug_assert!(p.off + len <= base.len);
-            base.ptr.add(p.off) as *mut S
-        }
+    unsafe fn src_ptr(&self, base: &RawViewMut<S>, p: Place, len: usize) -> *mut S {
+        let view = if p.in_slab { &self.slab } else { base };
+        debug_assert!(p.off + len <= view.len);
+        view.ptr.add(p.off)
     }
 
     /// SAFETY: as [`RawViewMut::get_mut`] — the DAG's edges guarantee no
@@ -930,7 +924,7 @@ impl<S: Scalar> GraphJob<S> {
                     if a_side { op.apply_dims(g.m, g.k) } else { op.apply_dims(g.k, g.n) };
                 let (ptr, ld) = if a_side { io.input.a(item) } else { io.input.b(item) };
                 let (slot_len, pack) =
-                    if a_side { (g.slot_a, &io.pack_a) } else { (g.slot_b, &io.pack_b) };
+                    if a_side { (g.slot_a, &self.a) } else { (g.slot_b, &self.b) };
                 let src = MatRef::from_raw_parts(ptr, rows, cols, ld);
                 let tile_len = layout.tile_len();
                 let dst = pack.get_mut(slot * slot_len + r0 * tile_len, (r1 - r0) * tile_len);
@@ -1084,48 +1078,13 @@ impl<S: Scalar> Job for GraphJob<S> {
 /// metric shards into `sink` after the join: per-level wall times
 /// (summed across workers, so parallel and serial runs report the same
 /// vocabulary) and the aggregate [`PoolStats`].
+///
+/// Every schedule tier runs here: under the in-place tier the leaf
+/// subtrees scribble on (and restore) their raw A/B quadrants, and the
+/// DAG's SPre/TPre edges sequence every other reader of those quadrants
+/// before the scribbling child.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_graph<S: Scalar, K: MetricsSink>(
-    graph: &TaskGraph,
-    levels: &[LevelPlan],
-    level_layouts: &[NodeLayouts],
-    policy: ExecPolicy,
-    threads: usize,
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    slab: &mut [S],
-    scratch: &mut PoolScratch,
-    cancel: Option<&CancelToken>,
-    sink: &mut K,
-) -> Result<(), GemmError> {
-    debug_assert!(
-        !policy.sched().overwrites_inputs(),
-        "the in-place schedule needs mutable operands (run_graph_mut)"
-    );
-    run_graph_with_views(
-        graph,
-        levels,
-        level_layouts,
-        policy,
-        threads,
-        RawView::new(a),
-        RawView::new(b),
-        c,
-        slab,
-        scratch,
-        cancel,
-        sink,
-    )
-}
-
-/// As [`run_graph`], for mutable operands: the only entry that may run
-/// the in-place schedule tier, whose leaf subtrees scribble on their raw
-/// A/B quadrants (the DAG's SPre/TPre edges sequence every other reader
-/// before the scribbling child). The operand views are built from `&mut`
-/// so the leaves' writes go through write-capable provenance.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_graph_mut<S: Scalar, K: MetricsSink>(
     graph: &TaskGraph,
     levels: &[LevelPlan],
     level_layouts: &[NodeLayouts],
@@ -1139,75 +1098,69 @@ pub(crate) fn run_graph_mut<S: Scalar, K: MetricsSink>(
     cancel: Option<&CancelToken>,
     sink: &mut K,
 ) -> Result<(), GemmError> {
-    let av = RawViewMut::new(a);
-    let bv = RawViewMut::new(b);
-    run_graph_with_views(
-        graph,
-        levels,
-        level_layouts,
-        policy,
-        threads,
-        RawView { ptr: av.ptr.cast_const(), len: av.len },
-        RawView { ptr: bv.ptr.cast_const(), len: bv.len },
-        c,
-        slab,
-        scratch,
-        cancel,
-        sink,
-    )
+    let views = JobViews { graph, levels, level_layouts, policy, threads, a, b, c, slab };
+    drive(views, scratch, cancel, None, sink).0
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_graph_with_views<S: Scalar, K: MetricsSink>(
-    graph: &TaskGraph,
-    levels: &[LevelPlan],
-    level_layouts: &[NodeLayouts],
+/// The borrowed inputs of one pooled DAG run.
+struct JobViews<'x, S> {
+    graph: &'x TaskGraph,
+    levels: &'x [LevelPlan],
+    level_layouts: &'x [NodeLayouts],
     policy: ExecPolicy,
     threads: usize,
-    a: RawView<S>,
-    b: RawView<S>,
-    c: &mut [S],
-    slab: &mut [S],
+    a: &'x mut [S],
+    b: &'x mut [S],
+    c: &'x mut [S],
+    slab: &'x mut [S],
+}
+
+/// Builds the [`GraphJob`] over `v`, drives it on the global pool to
+/// quiescence and merges the metric shards into `sink`. Returns the
+/// run's outcome and the job, whose batch counters outlive the run.
+fn drive<S: Scalar, K: MetricsSink>(
+    v: JobViews<'_, S>,
     scratch: &mut PoolScratch,
     cancel: Option<&CancelToken>,
+    batch: Option<BatchIo<S>>,
     sink: &mut K,
-) -> Result<(), GemmError> {
-    debug_assert!(threads >= 2, "threads < 2 must take the serial path");
-    debug_assert!(graph.slab_len <= slab.len(), "slab smaller than the graph's model");
-    scratch.reset(graph, threads);
+) -> (Result<(), GemmError>, Arc<GraphJob<S>>) {
+    debug_assert!(v.threads >= 2, "threads < 2 must take the serial path");
+    debug_assert!(v.graph.slab_len <= v.slab.len(), "slab smaller than the graph's model");
+    scratch.reset(v.graph, v.threads);
     let job: Arc<GraphJob<S>> = Arc::new(GraphJob {
-        graph: RawView { ptr: graph, len: 1 },
-        levels: RawView::new(levels),
-        level_layouts: RawView::new(level_layouts),
-        a,
-        b,
-        c: RawViewMut::new(c),
-        slab: RawViewMut::new(slab),
+        graph: RawView { ptr: v.graph, len: 1 },
+        levels: RawView::new(v.levels),
+        level_layouts: RawView::new(v.level_layouts),
+        a: RawViewMut::new(v.a),
+        b: RawViewMut::new(v.b),
+        c: RawViewMut::new(v.c),
+        slab: RawViewMut::new(v.slab),
         deps: RawView { ptr: scratch.deps.as_ptr(), len: scratch.deps.len() },
         queues: RawView { ptr: scratch.queues.as_ptr(), len: scratch.queues.len() },
         shards: RawView { ptr: scratch.shards.as_ptr(), len: scratch.shards.len() },
-        workers: threads,
-        policy,
+        workers: v.threads,
+        policy: v.policy,
         metrics_on: K::ENABLED,
-        batch: None,
+        batch,
         cancel: cancel.cloned(),
-        pending: AtomicUsize::new(graph.tasks.len()),
-        ready: AtomicUsize::new(graph.roots.len()),
+        pending: AtomicUsize::new(v.graph.tasks.len()),
+        ready: AtomicUsize::new(v.graph.roots.len()),
         cancelled: AtomicBool::new(false),
         active: AtomicUsize::new(0),
         error: Mutex::new(None),
         sync: Mutex::new(()),
         cv: Condvar::new(),
     });
-    ThreadPool::global(threads).run(job.clone());
+    ThreadPool::global(v.threads).run(job.clone());
     let result = match job.take_error() {
         Some(e) => Err(e),
         None => Ok(()),
     };
     if K::ENABLED {
-        merge_shards(scratch, threads, sink);
+        merge_shards(scratch, v.threads, sink);
     }
-    result
+    (result, job)
 }
 
 /// Merges the per-worker metric shards into `sink` after a join.
@@ -1259,18 +1212,6 @@ pub(crate) fn run_batch_graph<S: Scalar, K: MetricsSink>(
     cancel: Option<&CancelToken>,
     sink: &mut K,
 ) -> Result<(u64, u64), GemmError> {
-    debug_assert!(threads >= 2, "threads < 2 must take the serial batch path");
-    debug_assert!(graph.slab_len <= slab.len(), "slab smaller than the batch graph's model");
-    scratch.reset(graph, threads);
-    // The packed operand arenas are read by compute tasks (through the
-    // job's `a`/`b` views) *and* written by convert tasks (through the
-    // `pack_*` aliases); the DAG's edges order every write of a slot
-    // strictly before its readers, and both views derive from the same
-    // exclusive borrow.
-    let pack_a = RawViewMut::new(arena_a);
-    let pack_b = RawViewMut::new(arena_b);
-    let a = RawView { ptr: pack_a.ptr.cast_const(), len: pack_a.len };
-    let b = RawView { ptr: pack_b.ptr.cast_const(), len: pack_b.len };
     let input = match input {
         BatchInput::Strided { a, lda, stride_a, b, ldb, stride_b, c, ldc, stride_c } => {
             BatchInputRaw::Strided {
@@ -1287,48 +1228,20 @@ pub(crate) fn run_batch_graph<S: Scalar, K: MetricsSink>(
         }
         BatchInput::Items(items) => BatchInputRaw::Items(items.as_ptr()),
     };
-    let job: Arc<GraphJob<S>> = Arc::new(GraphJob {
-        graph: RawView { ptr: graph, len: 1 },
-        levels: RawView::new(levels),
-        level_layouts: RawView::new(level_layouts),
-        a,
-        b,
-        c: RawViewMut::new(arena_c),
-        slab: RawViewMut::new(slab),
-        deps: RawView { ptr: scratch.deps.as_ptr(), len: scratch.deps.len() },
-        queues: RawView { ptr: scratch.queues.as_ptr(), len: scratch.queues.len() },
-        shards: RawView { ptr: scratch.shards.as_ptr(), len: scratch.shards.len() },
-        workers: threads,
-        policy,
-        metrics_on: K::ENABLED,
-        batch: Some(BatchIo {
-            input,
-            geom,
-            alpha,
-            beta,
-            pack_a,
-            pack_b,
-            active_compute: AtomicUsize::new(0),
-            convert_nanos: AtomicU64::new(0),
-            overlap_nanos: AtomicU64::new(0),
-        }),
-        cancel: cancel.cloned(),
-        pending: AtomicUsize::new(graph.tasks.len()),
-        ready: AtomicUsize::new(graph.roots.len()),
-        cancelled: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-        error: Mutex::new(None),
-        sync: Mutex::new(()),
-        cv: Condvar::new(),
-    });
-    ThreadPool::global(threads).run(job.clone());
-    let result = match job.take_error() {
-        Some(e) => Err(e),
-        None => Ok(()),
+    let io = BatchIo {
+        input,
+        geom,
+        alpha,
+        beta,
+        active_compute: AtomicUsize::new(0),
+        convert_nanos: AtomicU64::new(0),
+        overlap_nanos: AtomicU64::new(0),
     };
-    if K::ENABLED {
-        merge_shards(scratch, threads, sink);
-    }
+    // Convert tasks write a slot's packed operands strictly before any
+    // compute task of that slot reads them (DAG edges).
+    let (a, b, c) = (arena_a, arena_b, arena_c);
+    let views = JobViews { graph, levels, level_layouts, policy, threads, a, b, c, slab };
+    let (result, job) = drive(views, scratch, cancel, Some(io), sink);
     let io = job.batch.as_ref().expect("batch job");
     result.map(|()| {
         (io.convert_nanos.load(Ordering::Relaxed), io.overlap_nanos.load(Ordering::Relaxed))

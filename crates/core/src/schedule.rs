@@ -744,9 +744,10 @@ mod tests {
     #[test]
     fn non_overwriting_schedules_only_write_temporaries() {
         // Standard and low-mem tiers must never touch an input quadrant
-        // (shared-reference executors rely on this); low-mem must also
-        // never reference TQ (its footprint claims only three temps),
-        // and in-place must never reference TS/TT/TQ (only TP).
+        // (the task DAG relies on this to let a node's products read its
+        // raw operand quadrants while its pre-adds still run); low-mem
+        // must also never reference TQ (its footprint claims only three
+        // temps), and in-place must never reference TS/TT/TQ (only TP).
         for (v, s, steps) in all_pairs() {
             for &step in steps {
                 match step {

@@ -9,9 +9,11 @@ use modgemm_core::counts::{conventional_flops, strassen_flops, strassen_levels};
 use modgemm_core::exec::{
     strassen_mul, try_strassen_mul_with_sink, workspace_len, ExecPolicy, NodeLayouts,
 };
-use modgemm_core::metrics::CollectingSink;
-use modgemm_core::parallel::{try_strassen_mul_parallel, try_strassen_mul_parallel_with_sink};
-use modgemm_core::{try_modgemm_with_ctx, try_modgemm_with_metrics, GemmContext, ModgemmConfig};
+use modgemm_core::metrics::{CollectingSink, NoopSink};
+use modgemm_core::{
+    try_modgemm_with_ctx, try_modgemm_with_metrics, GemmContext, GemmPlan, ModgemmConfig,
+    Truncation,
+};
 use modgemm_mat::gen::random_matrix;
 use modgemm_mat::view::Op;
 use modgemm_mat::Matrix;
@@ -44,12 +46,13 @@ fn recorded_flops_match_counts_across_policies() {
         ExecPolicy { strassen_min: 32, ..Default::default() }, // two
         ExecPolicy { strassen_min: 1 << 20, ..Default::default() }, // pure conventional
     ];
-    let (ab, bb) = morton_operands(layouts, 1);
+    let (mut ab, mut bb) = morton_operands(layouts, 1);
     for policy in policies {
         let mut cb = vec![0.0; layouts.c.len()];
         let mut ws = vec![0.0; workspace_len(layouts, policy)];
         let mut sink = CollectingSink::new();
-        try_strassen_mul_with_sink(&ab, &bb, &mut cb, layouts, &mut ws, policy, &mut sink).unwrap();
+        try_strassen_mul_with_sink(&mut ab, &mut bb, &mut cb, layouts, &mut ws, policy, &mut sink)
+            .unwrap();
         let m = sink.into_metrics();
         let (pm, pk, pn) = layouts.dims();
         assert_eq!(m.flops, strassen_flops(layouts, policy), "policy {policy:?}");
@@ -120,26 +123,17 @@ fn noop_and_collecting_runs_are_bit_identical() {
     // Executor level.
     let layouts = layouts(8, 3);
     let policy = ExecPolicy { strassen_min: 16, ..Default::default() };
-    let (ab, bb) = morton_operands(layouts, 21);
+    let (mut ab, mut bb) = morton_operands(layouts, 21);
     let mut c_noop = vec![0.0; layouts.c.len()];
     let mut ws = vec![0.0; workspace_len(layouts, policy)];
-    strassen_mul(&ab, &bb, &mut c_noop, layouts, &mut ws, policy);
+    strassen_mul(&mut ab, &mut bb, &mut c_noop, layouts, &mut ws, policy);
 
     let mut c_inst = vec![0.0; layouts.c.len()];
     let mut ws = vec![0.0; workspace_len(layouts, policy)];
     let mut sink = CollectingSink::new();
-    try_strassen_mul_with_sink(&ab, &bb, &mut c_inst, layouts, &mut ws, policy, &mut sink).unwrap();
-    assert!(sink.metrics.flops > 0);
-    assert_bits_eq(&c_noop, &c_inst);
-
-    // Parallel executor.
-    let mut c_noop = vec![0.0; layouts.c.len()];
-    try_strassen_mul_parallel(&ab, &bb, &mut c_noop, layouts, policy, 1).unwrap();
-    let mut c_inst = vec![0.0; layouts.c.len()];
-    let mut sink = CollectingSink::new();
-    try_strassen_mul_parallel_with_sink(&ab, &bb, &mut c_inst, layouts, policy, 1, &mut sink)
+    try_strassen_mul_with_sink(&mut ab, &mut bb, &mut c_inst, layouts, &mut ws, policy, &mut sink)
         .unwrap();
-    assert!(sink.metrics.temp_allocations > 0);
+    assert!(sink.metrics.flops > 0);
     assert_bits_eq(&c_noop, &c_inst);
 
     // Full pipeline, odd size (padding + conversion in play).
@@ -180,6 +174,68 @@ fn noop_and_collecting_runs_are_bit_identical() {
     .unwrap();
     assert!(sink.metrics.breakdown.total() > std::time::Duration::ZERO);
     assert_bits_eq(c_noop.as_slice(), c_inst.as_slice());
+}
+
+#[test]
+fn pooled_noop_and_collecting_runs_are_bit_identical() {
+    // One DAG level on two workers (64 = 8·2^3, one conventional level
+    // below strassen_min 16): the pooled plan must produce the same bits
+    // with and without a sink, and the instrumented run must report the
+    // same plan facts as the closed forms plus the pool counters.
+    let cfg = ModgemmConfig {
+        truncation: Truncation::Fixed(8),
+        strassen_min: 16,
+        parallel_depth: 1,
+        threads: 2,
+        ..ModgemmConfig::default()
+    };
+    let n = 64;
+    let plan = GemmPlan::<f64>::try_new(n, n, n, &cfg).unwrap();
+    assert_eq!(plan.parallel_depth(), 1);
+    let a: Matrix<f64> = random_matrix(n, n, 21);
+    let b: Matrix<f64> = random_matrix(n, n, 22);
+    let (av, bv) = (a.view(), b.view());
+    let mut c_noop: Matrix<f64> = Matrix::zeros(n, n);
+    let mut ctx = GemmContext::new();
+    let (op, one, zero) = (Op::NoTrans, 1.0, 0.0);
+    plan.try_execute_with_metrics(
+        one,
+        op,
+        av,
+        op,
+        bv,
+        zero,
+        c_noop.view_mut(),
+        &mut ctx,
+        &mut NoopSink,
+    )
+    .unwrap();
+    let mut c_inst: Matrix<f64> = Matrix::zeros(n, n);
+    let mut ctx = GemmContext::new();
+    let mut sink = CollectingSink::new();
+    plan.try_execute_with_metrics(
+        one,
+        op,
+        av,
+        op,
+        bv,
+        zero,
+        c_inst.view_mut(),
+        &mut ctx,
+        &mut sink,
+    )
+    .unwrap();
+    assert_bits_eq(c_noop.as_slice(), c_inst.as_slice());
+
+    let m = sink.into_metrics();
+    let layouts = layouts(8, 3);
+    let policy = ExecPolicy { strassen_min: 16, ..Default::default() };
+    assert_eq!(m.flops, strassen_flops(layouts, policy));
+    assert_eq!(m.strassen_levels, strassen_levels(layouts, policy));
+    assert!(m.temp_allocations > 0, "a cold context reports its growth");
+    let pool = m.pool.expect("pooled runs report pool counters");
+    assert_eq!(pool.workers, 2);
+    assert!(pool.tasks_executed > 0);
 }
 
 fn assert_bits_eq(x: &[f64], y: &[f64]) {

@@ -47,11 +47,11 @@ fn main() {
         // Pre-pack outside the timer.
         let plan = mod_cfg.plan(n, n, n).expect("square sizes are always feasible");
         let layouts = layouts_of(&plan);
-        let am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
-        let bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
+        let mut am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
+        let mut bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
         let mut cm = MortonMatrix::zeros(n, n, layouts.c);
         let t_noconv = protocol::measure(n, || {
-            modgemm_premorton(&am, &bm, &mut cm, &mod_cfg);
+            modgemm_premorton(&mut am, &mut bm, &mut cm, &mod_cfg);
             std::hint::black_box(cm.as_slice());
         });
 

@@ -177,15 +177,15 @@ proptest! {
         let policy =
             ExecPolicy { strassen_min: 8, variant: Variant::Winograd, ..ExecPolicy::default() };
         let need = modgemm::core::workspace_len(layouts, policy);
-        let a = fill(layouts.a.len(), seed);
-        let b = fill(layouts.b.len(), seed + 1);
+        let mut a = fill(layouts.a.len(), seed);
+        let mut b = fill(layouts.b.len(), seed + 1);
         let mut c = vec![0.0f64; layouts.c.len()];
 
         if need > 0 {
             let mut ws = vec![0.0f64; need.saturating_sub(shortfall)];
             if ws.len() < need {
                 prop_assert_eq!(
-                    try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, policy),
+                    try_strassen_mul(&mut a, &mut b, &mut c, layouts, &mut ws, policy),
                     Err(GemmError::WorkspaceTooSmall { needed: need, got: ws.len() })
                 );
             }
@@ -194,14 +194,17 @@ proptest! {
         short_a.pop();
         let mut ws = vec![0.0f64; need];
         prop_assert_eq!(
-            try_strassen_mul(&short_a, &b, &mut c, layouts, &mut ws, policy),
+            try_strassen_mul(&mut short_a, &mut b, &mut c, layouts, &mut ws, policy),
             Err(GemmError::BufferLenMismatch {
                 operand: Operand::A,
                 needed: layouts.a.len(),
                 got: layouts.a.len() - 1,
             })
         );
-        prop_assert_eq!(try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, policy), Ok(()));
+        prop_assert_eq!(
+            try_strassen_mul(&mut a, &mut b, &mut c, layouts, &mut ws, policy),
+            Ok(())
+        );
     }
 
     /// Any memory budget — including zero — degrades recursion depth but

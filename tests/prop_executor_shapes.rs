@@ -29,7 +29,7 @@ fn run_exec(
     to_morton(a.view(), Op::NoTrans, &la, &mut ab);
     to_morton(b.view(), Op::NoTrans, &lb, &mut bb);
     let mut ws = vec![0i64; workspace_len(layouts, policy)];
-    strassen_mul(&ab, &bb, &mut cb, layouts, &mut ws, policy);
+    strassen_mul(&mut ab, &mut bb, &mut cb, layouts, &mut ws, policy);
     let mut out = Matrix::zeros(a.rows(), b.cols());
     from_morton(&cb, &lc, out.view_mut());
     out

@@ -12,8 +12,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use modgemm::core::{
-    parallel_slab_len, try_modgemm, try_strassen_mul_parallel_in_threads, workspace_len,
-    ExecPolicy, GemmError, ModgemmConfig, NodeLayouts, Truncation,
+    try_modgemm, FuseDepth, GemmContext, GemmError, GemmPlan, ModgemmConfig, Truncation,
 };
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::{KernelKind, Matrix, Op, Scalar};
@@ -35,13 +34,42 @@ fn fill_i64(len: usize, seed: u64) -> Vec<i64> {
         .collect()
 }
 
+/// A staged (unfused) plan configuration pinned to `tile`-sized leaves.
+fn fixed_tile_cfg(
+    tile: usize,
+    kernel: KernelKind,
+    parallel_depth: usize,
+    threads: usize,
+) -> ModgemmConfig {
+    ModgemmConfig {
+        truncation: Truncation::Fixed(tile),
+        leaf_kernel: kernel,
+        fuse_depth: FuseDepth::Fixed(0),
+        parallel_depth,
+        threads,
+        ..ModgemmConfig::paper()
+    }
+}
+
+/// `C = A·B` through `plan` on `ctx`.
+fn run_plan<S: Scalar>(
+    plan: &GemmPlan<S>,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+    ctx: &mut GemmContext<S>,
+) -> Matrix<S> {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    plan.execute(a.view(), b.view(), c.view_mut(), ctx);
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Raw Morton executor: for every leaf kernel and pinned thread
+    /// The plan's Morton core: for every leaf kernel and pinned thread
     /// count, the pooled DAG run equals the serial run exactly on i64 —
-    /// on a deliberately dirty slab, so any read-before-write of a
-    /// temporary is caught too.
+    /// on a context a different product already warmed, so any
+    /// read-before-write of a stale slab temporary is caught too.
     #[test]
     fn pooled_dag_is_bitwise_serial_on_i64(
         tile in 2usize..6,
@@ -50,28 +78,24 @@ proptest! {
         kernel_ix in 0usize..KernelKind::ALL.len(),
         seed in 0u64..1000,
     ) {
-        let l = MortonLayout::new(tile, tile, depth);
-        let layouts = NodeLayouts::new(l, l, l);
+        // `n = tile << depth` under a fixed tile plans exactly `depth`
+        // staged levels of `tile`-sized leaves.
+        let n = tile << depth;
         let kind = KernelKind::ALL[kernel_ix];
-        // Auto resolves at plan time in the real pipeline; mirror that.
-        let policy = ExecPolicy {
-            kernel: kind.resolve(tile, tile, tile),
-            ..ExecPolicy::default()
-        };
+        let cfg = |par_depth, threads| fixed_tile_cfg(tile, kind, par_depth, threads);
 
-        let a = fill_i64(l.len(), seed);
-        let b = fill_i64(l.len(), seed + 1);
-
-        let mut c_ser = vec![0i64; l.len()];
-        let mut ws = vec![0i64; workspace_len(layouts, policy)];
-        modgemm::core::strassen_mul(&a, &b, &mut c_ser, layouts, &mut ws, policy);
+        let a = Matrix::from_vec(fill_i64(n * n, seed), n, n);
+        let b = Matrix::from_vec(fill_i64(n * n, seed + 1), n, n);
+        let serial = GemmPlan::<i64>::try_new(n, n, n, &cfg(0, 1)).unwrap();
+        let c_ser = run_plan(&serial, &a, &b, &mut GemmContext::new());
 
         for threads in THREADS {
-            let mut c_pool = vec![i64::MIN; l.len()];
-            let mut slab = vec![i64::MAX; parallel_slab_len(layouts, policy, par_depth)];
-            try_strassen_mul_parallel_in_threads(
-                &a, &b, &mut c_pool, layouts, policy, par_depth, threads, &mut slab,
-            ).unwrap();
+            let plan = GemmPlan::<i64>::try_new(n, n, n, &cfg(par_depth, threads)).unwrap();
+            prop_assert_eq!(plan.strassen_levels(), depth);
+            prop_assert_eq!(plan.parallel_depth(), if threads > 1 { par_depth.min(depth) } else { 0 });
+            let mut ctx = GemmContext::new();
+            let _ = run_plan(&plan, &b, &a, &mut ctx);
+            let c_pool = run_plan(&plan, &a, &b, &mut ctx);
             prop_assert_eq!(
                 &c_pool, &c_ser,
                 "kernel {:?} tile {} depth {} par_depth {} threads {}",
@@ -198,7 +222,8 @@ proptest! {
     /// A panicking leaf multiply inside a pool worker must surface as
     /// `Err(WorkerPanic)` from `try_*` — no panic may cross the join, no
     /// worker may be lost (the pool stays usable for a healthy follow-up
-    /// run at the same thread count).
+    /// run at the same thread count, on the context the failed run left
+    /// dirty).
     #[test]
     fn worker_panics_surface_as_typed_errors(
         tile in 2usize..5,
@@ -207,18 +232,24 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let threads = THREADS[threads_ix];
-        let l = MortonLayout::new(tile, tile, depth);
-        let layouts = NodeLayouts::new(l, l, l);
-        let policy = ExecPolicy::default();
+        let n = tile << depth;
+        let pooled = fixed_tile_cfg(tile, KernelKind::Blocked, 1, threads);
+        let plan = GemmPlan::<Boom>::try_new(n, n, n, &pooled).unwrap();
+        prop_assert_eq!(plan.parallel_depth(), 1);
+        let boom = |seed| Matrix::from_vec(
+            fill_i64(n * n, seed).into_iter().map(Boom).collect(), n, n,
+        );
 
         // All-huge A guarantees some product's operand is still huge
         // after the pre-additions (e.g. the A11·B11 chain).
-        let a = vec![Boom(BOOM); l.len()];
-        let b: Vec<Boom> = fill_i64(l.len(), seed).into_iter().map(Boom).collect();
-        let mut c = vec![Boom(0); l.len()];
-        let mut slab = vec![Boom(0); parallel_slab_len(layouts, policy, 1)];
-        let r = try_strassen_mul_parallel_in_threads(
-            &a, &b, &mut c, layouts, policy, 1, threads, &mut slab,
+        let a = Matrix::from_vec(vec![Boom(BOOM); n * n], n, n);
+        let b = boom(seed);
+        let mut ctx = GemmContext::new();
+        let _ = run_plan(&plan, &b, &b, &mut ctx);
+        let mut c = Matrix::zeros(n, n);
+        let r = plan.try_execute(
+            Boom::ONE, Op::NoTrans, a.view(), Op::NoTrans, b.view(), Boom::ZERO,
+            c.view_mut(), &mut ctx,
         );
         prop_assert!(
             matches!(r, Err(GemmError::WorkerPanic { .. })),
@@ -227,15 +258,11 @@ proptest! {
 
         // The pool survives the contained panic: a healthy run on the
         // same workers still matches serial bitwise.
-        let a2: Vec<Boom> = fill_i64(l.len(), seed + 1).into_iter().map(Boom).collect();
-        let mut c_pool = vec![Boom(0); l.len()];
-        let mut slab2 = vec![Boom(0); parallel_slab_len(layouts, policy, 1)];
-        try_strassen_mul_parallel_in_threads(
-            &a2, &b, &mut c_pool, layouts, policy, 1, threads, &mut slab2,
-        ).unwrap();
-        let mut c_ser = vec![Boom(0); l.len()];
-        let mut ws = vec![Boom(0); workspace_len(layouts, policy)];
-        modgemm::core::strassen_mul(&a2, &b, &mut c_ser, layouts, &mut ws, policy);
+        let a2 = boom(seed + 1);
+        let c_pool = run_plan(&plan, &a2, &b, &mut ctx);
+        let serial = GemmPlan::<Boom>::try_new(n, n, n, &fixed_tile_cfg(tile, KernelKind::Blocked, 0, 1))
+            .unwrap();
+        let c_ser = run_plan(&serial, &a2, &b, &mut GemmContext::new());
         prop_assert_eq!(c_pool, c_ser);
     }
 }
