@@ -116,11 +116,7 @@ fn bench_parallel(c: &mut Criterion) {
     let mut cm: Matrix<f64> = Matrix::zeros(n, n);
     g.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
     for depth in [0usize, 1, 2] {
-        let cfg = ModgemmConfig {
-            parallel_depth: depth,
-            parallel_convert: depth > 0,
-            ..ModgemmConfig::paper()
-        };
+        let cfg = ModgemmConfig { parallel_depth: depth, ..ModgemmConfig::paper() };
         g.bench_with_input(BenchmarkId::new("parallel_depth", depth), &depth, |bch, _| {
             bch.iter(|| {
                 modgemm(

@@ -4,7 +4,9 @@
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use modgemm_baselines::{dgefmm, DgefmmConfig};
 use modgemm_bench::{criterion, GEMM_SIZES};
-use modgemm_core::{layouts_of, modgemm, modgemm_premorton, ModgemmConfig, MortonMatrix};
+use modgemm_core::{
+    layouts_of, modgemm, modgemm_premorton, GemmContext, ModgemmConfig, MortonMatrix,
+};
 use modgemm_mat::gen::random_problem;
 use modgemm_mat::{Matrix, Op};
 
@@ -23,10 +25,12 @@ fn bench(c: &mut Criterion) {
         let mut am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
         let mut bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
         let mut cm = MortonMatrix::zeros(n, n, layouts.c);
+        // One context across iterations: the workspace is allocated once.
+        let mut ctx = GemmContext::new();
 
         g.bench_with_input(BenchmarkId::new("modgemm_noconv", n), &n, |bch, _| {
             bch.iter(|| {
-                modgemm_premorton(&mut am, &mut bm, &mut cm, &mod_cfg);
+                modgemm_premorton(&mut am, &mut bm, &mut cm, &mod_cfg, &mut ctx);
                 black_box(cm.as_slice());
             })
         });

@@ -28,12 +28,12 @@
 //! same-shape multiplies through one `BatchPlan` task DAG versus a
 //! per-item loop over a reused `GemmPlan`; the `gate-batch` subcommand
 //! turns each pair into CI's batched ≥ serial-loop assertion on
-//! min-time GFLOP/s (meaningful on multi-core runners — on one core the
-//! batched path degrades to the same serial loop by design).
+//! min-time GFLOP/s (meaningful on multi-core runners — with one worker
+//! both sides run their graphs inline on the caller).
 //! A thread sweep (`threads_{1,2,4,8}_1024`) runs the work-stealing DAG
 //! executor at fixed worker counts on n = 1024, so multi-core scaling of
 //! the pooled executor is tracked case-by-case (the `threads_1` case is
-//! the serial-degradation control).
+//! the inline-runner control).
 //! The schedule sweep (`schedule_{standard,lowmem,inplace}_512`) pins
 //! each Boyer et al. memory tier on the packed kernel with one fused
 //! level, isolating the schedule axis; the budget sweep
@@ -185,8 +185,8 @@ fn suite_cases(
         cases.push(case(&format!("fused_vs_staged_512_{suffix}"), 512, Algo::Modgemm(cfg)));
     }
     // The thread sweep: the pooled DAG executor at fixed worker counts,
-    // n = 1024, parallel_depth 2. `threads_1` degrades to the serial
-    // executor and anchors the scaling curve.
+    // n = 1024, parallel_depth 2. `threads_1` runs the same call's graph
+    // inline on the caller and anchors the scaling curve.
     for t in [1usize, 2, 4, 8] {
         let cfg = ModgemmConfig { parallel_depth: 2, threads: t, ..ModgemmConfig::default() };
         cases.push(case(&format!("threads_{t}_1024"), 1024, Algo::Modgemm(cfg)));
@@ -249,8 +249,8 @@ fn suite_cases(
     // The whole-batch scheduling pairs: many small same-shape multiplies
     // (64³ × 64 — the shape batching exists for) and a few mid-size ones
     // (256³ × 8), batched through one task DAG versus the per-item loop.
-    // parallel_depth 2 with auto worker resolution: on one core the DAG
-    // is unavailable and both sides run the identical serial loop.
+    // parallel_depth 2 with auto worker resolution: on one core both
+    // sides run their graphs inline, item after item.
     for (name, bn, items) in [("batch_64x64x64_n64", 64usize, 64usize), ("batch_256_n8", 256, 8)] {
         cases.push(case(name, bn, Algo::Batch { cfg: par, items }));
         cases.push(case(&format!("{name}_serial"), bn, Algo::BatchSerial { cfg: par, items }));
@@ -871,8 +871,8 @@ fn run_gate_fused(args: &[String]) -> ExitCode {
 /// `gate-batch REPORT [--threshold T]`: asserts, for every `batch_*` /
 /// `batch_*_serial` pair, that the whole-batch DAG's min-time GFLOP/s is
 /// no worse than the per-item loop's, modulo a run-to-run noise floor.
-/// On a one-core runner both cases execute the identical serial loop
-/// (the DAG needs ≥ 2 workers), so the gate passes trivially there; on
+/// On a one-core runner both cases run the same work inline (the pool
+/// needs ≥ 2 workers), so the gate compares two inline schedules there; on
 /// multi-core runners a shortfall means whole-batch scheduling costs
 /// more than the conversion/compute overlap it buys — exactly what the
 /// gate exists to catch.
@@ -923,7 +923,7 @@ fn run_gate_batch(args: &[String]) -> ExitCode {
                 if batched < floor {
                     println!(
                         "gate-batch: BATCH REGRESSION — {pair} batched min-time GFLOP/s below \
-                         the serial loop"
+                         the per-item loop"
                     );
                     failed = true;
                 }

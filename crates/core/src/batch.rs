@@ -1,15 +1,16 @@
-//! Whole-batch scheduling: many same-shape GEMMs as **one** task DAG.
+//! Whole-batch scheduling: many same-shape GEMMs as **one** task graph.
 //!
-//! The per-item executor ([`crate::plan::GemmPlan`]) already overlaps
-//! nothing across calls: each `try_execute` converts its operands to
-//! Morton order, runs the compute DAG to a full quiesce, and scatters the
-//! result back — so a batch executed as a loop serializes conversion and
-//! compute at every item boundary, exactly the §3.5-style bandwidth gap
-//! the SC'98 paper's Figure 7 measures for the single-GEMM case.
+//! A batch executed as a loop of [`crate::plan::GemmPlan`] calls
+//! serializes conversion and compute at every item boundary: each call
+//! converts its operands to Morton order, runs its compute to a full
+//! quiesce, and scatters the result back — exactly the §3.5-style
+//! bandwidth gap the SC'98 paper's Figure 7 measures for the single-GEMM
+//! case.
 //!
-//! [`BatchPlan`] instead compiles the **entire batch** into a single
-//! dependency-counted task graph: every item contributes
-//! an independent subgraph
+//! [`BatchPlan`] instead compiles the **entire batch** with the lowering
+//! every call uses (`TiledPlan::lower_items` in [`crate::plan`](mod@crate::plan), which a
+//! `GemmPlan` compiles as a batch of one): every item contributes an
+//! independent subgraph
 //!
 //! ```text
 //! ConvertA chunks ─┐
@@ -20,7 +21,9 @@
 //! and the subgraphs share nothing except the *window slots* they cycle
 //! through, so item `i+1`'s conversion chunks fill worker deques while
 //! item `i` is still multiplying — conversion/compute overlap falls out
-//! of ordinary work stealing instead of a bespoke pipeline.
+//! of ordinary work stealing instead of a bespoke pipeline. With one
+//! resolved worker the same graph runs inline on the caller, item after
+//! item.
 //!
 //! Memory is admitted by an in-flight **window** `w`, not by the batch
 //! size: the arenas hold `w` slots of `(A, B, C, slab)` (closed form in
@@ -29,7 +32,7 @@
 //! a [`crate::config::MemoryBudget`] caps `w` toward 1 — concurrency
 //! degrades before recursion depth does, the same degradation order the
 //! parallel slab uses. `ModgemmConfig::batch_window = 0` auto-sizes the
-//! window from the resolved worker count.
+//! window: `2 · workers` on the pool, 1 inline.
 
 use core::mem::size_of;
 
@@ -37,18 +40,11 @@ use modgemm_mat::view::required_len;
 use modgemm_mat::{MatMut, MatRef, Op, Scalar};
 
 use crate::config::{ModgemmConfig, NonFinitePolicy, VerifyMode};
-use crate::error::{try_grow, GemmError, Operand};
-use crate::exec::{ExecPolicy, NodeLayouts};
+use crate::error::{GemmError, Operand};
 use crate::gemm::GemmContext;
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::plan::{BatchChunk, DagBuilder, GemmPlan, LevelPlan, Place, TaskGraph, TaskKind};
-use crate::pool::{run_batch_graph, BatchGeom, BatchInput, CancelToken, ItemIo};
-
-/// Target elements per conversion/epilogue chunk task. Small enough that
-/// converts interleave with compute on worker deques, large enough that a
-/// chunk amortizes its dequeue (a 64 Ki-element pack touches ~512 KiB of
-/// f64 traffic — far above task overhead).
-const CONVERT_CHUNK_ELEMS: usize = 64 * 1024;
+use crate::plan::{run_on_context, GemmPlan, TaskGraph, TiledPlan};
+use crate::pool::{BatchInput, CancelToken, GraphIo, IoSpec, ItemIo};
 
 /// The strided operand description of one batched call, mirroring
 /// `cblas_*gemm_batch_strided`: item `i`'s `A` starts at `a[i·stride_a]`
@@ -84,23 +80,6 @@ pub struct StridedBatch<'x, S> {
     pub stride_c: usize,
 }
 
-/// The batch DAG and its window geometry — only built when the plan is
-/// tiled, the pool has ≥ 2 workers, and the batch has ≥ 2 items (anything
-/// else gains nothing from overlap and takes the serial per-item loop).
-#[derive(Clone, Debug)]
-struct BatchDag {
-    graph: TaskGraph,
-    levels: Vec<LevelPlan>,
-    level_layouts: Vec<NodeLayouts>,
-    policy: ExecPolicy,
-    threads: usize,
-    /// Per-window-slot arena spans, in elements.
-    slot_a: usize,
-    slot_b: usize,
-    slot_c: usize,
-    slot_slab: usize,
-}
-
 /// A precompiled whole-batch execution plan for `batch` GEMMs of one
 /// `m × k × n` shape under one [`ModgemmConfig`].
 ///
@@ -132,14 +111,15 @@ struct BatchDag {
 pub struct BatchPlan<S> {
     item: GemmPlan<S>,
     batch: usize,
-    window: usize,
-    dag: Option<BatchDag>,
+    /// The whole batch lowered into one task graph; `None` when the item
+    /// plan has no tiled strategy (§3.5-split or degenerate shapes).
+    graph: Option<TaskGraph>,
 }
 
 impl<S: Scalar> BatchPlan<S> {
     /// Compiles a batch plan: one item plan (truncation search, layout
-    /// tree, arenas) plus the whole-batch task DAG with a budget-capped
-    /// in-flight window.
+    /// tree, arenas) plus the whole-batch task graph with a
+    /// budget-capped in-flight window.
     pub fn try_new(
         m: usize,
         k: usize,
@@ -158,9 +138,9 @@ impl<S: Scalar> BatchPlan<S> {
         // profile may pin `batch_window` per shape — while the plan
         // itself stores the caller's config, same split as `GemmPlan`.
         let (eff, _) = crate::tune::effective_config(item.config(), m, k, n)?;
-        let window = resolve_window::<S>(&eff, &item, batch);
-        let dag = build_dag(&item, batch, window);
-        Ok(BatchPlan { item, batch, window, dag })
+        let graph =
+            item.tiled().map(|tp| tp.lower_items(batch, resolve_window::<S>(&eff, tp, batch)));
+        Ok(BatchPlan { item, batch, graph })
     }
 
     /// The per-item plan the batch was compiled around.
@@ -174,19 +154,24 @@ impl<S: Scalar> BatchPlan<S> {
     }
 
     /// The in-flight window: how many items' workspaces are admitted
-    /// concurrently. 1 when the DAG path is unavailable.
+    /// concurrently. 1 for split or degenerate item plans.
     pub fn window(&self) -> usize {
-        if self.dag.is_some() {
-            self.window
-        } else {
-            1
-        }
+        self.graph.as_ref().map_or(1, |g| g.window)
     }
 
-    /// Tasks in the whole-batch DAG (0 when execution falls back to the
-    /// serial per-item loop). Drives cancellation sweep tests.
+    /// Tasks in the whole-batch graph — positive for every tiled item
+    /// plan and batch ≥ 1, at any thread count; 0 for split or
+    /// degenerate item plans, which run the per-item loop. Drives
+    /// cancellation sweep tests.
     pub fn parallel_tasks(&self) -> usize {
-        self.dag.as_ref().map_or(0, |d| d.graph.tasks.len())
+        self.graph.as_ref().map_or(0, |g| g.tasks.len())
+    }
+
+    /// Elements of the packed A, B and C arenas and of the workspace the
+    /// batch graph carves from a context, or `None` when the item plan is
+    /// split or degenerate — the service's admission estimate.
+    pub(crate) fn buffer_lens(&self) -> Option<[usize; 4]> {
+        self.graph.as_ref().map(TaskGraph::buffer_lens)
     }
 
     /// Executes the batch: `C_i ← α·op(A_i)·op(B_i) + β·C_i` for every
@@ -214,9 +199,9 @@ impl<S: Scalar> BatchPlan<S> {
     }
 
     /// Cancellable [`BatchPlan::try_execute_with_metrics`]: the token is
-    /// checked at every task-dequeue boundary of the batch DAG (and
-    /// between items of the serial fallback); on cancellation the context
-    /// remains reusable.
+    /// checked before every task of the batch graph (and between items
+    /// of the per-item loop); on cancellation the context remains
+    /// reusable.
     pub fn try_execute_cancellable_with_metrics<K: MetricsSink>(
         &self,
         desc: &StridedBatch<'_, S>,
@@ -253,95 +238,20 @@ impl<S: Scalar> BatchPlan<S> {
         if self.batch > 1 && d.stride_c < c_item {
             return Err(GemmError::BatchOverlap { stride: d.stride_c, needed: c_item });
         }
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        // The DAG bakes in the fast path's assumptions; anything the
-        // per-item executor handles specially (verification retries,
-        // non-finite scans/rejection, α = 0 or k = 0 scaling early-outs)
-        // routes through the serial loop, which is also the semantic
-        // reference the property tests pin the DAG against.
-        let cfg = self.item.config();
-        let dag_ok = self.dag.is_some()
-            && cfg.verify == VerifyMode::Off
-            && cfg.non_finite == NonFinitePolicy::Propagate
-            && d.alpha != S::ZERO;
-        if dag_ok {
-            self.execute_dag(d, c, ctx, cancel, sink)
-        } else {
-            self.execute_serial(d, c, ctx, cancel, sink)
-        }
+        let (lda, ldb, ldc) = (d.lda, d.ldb, d.ldc);
+        let base = ItemIo { a: d.a.as_ptr(), lda, b: d.b.as_ptr(), ldb, c: c.as_mut_ptr(), ldc };
+        let input = BatchInput::Strided { base, stride: [d.stride_a, d.stride_b, d.stride_c] };
+        let (ops, dims) = ((d.op_a, d.op_b), self.item.dims());
+        let spec = IoSpec { input, dims, ops, alpha: d.alpha, beta: d.beta };
+        // SAFETY: the checks above put every item's windows inside the
+        // borrowed slices and keep the C windows disjoint; `a`/`b` are
+        // shared borrows and `c` an exclusive one, all held for the call.
+        unsafe { self.execute_spec(spec, ctx, cancel, sink) }
     }
 
-    /// The per-item reference path: one planned execution per item on the
-    /// shared context, outputs written in batch order.
-    fn execute_serial<K: MetricsSink>(
-        &self,
-        d: &StridedBatch<'_, S>,
-        c: &mut [S],
-        ctx: &mut GemmContext<S>,
-        cancel: Option<&CancelToken>,
-        sink: &mut K,
-    ) -> Result<(), GemmError> {
-        let (m, k, n) = self.item.dims();
-        let (ar, ac) = d.op_a.apply_dims(m, k);
-        let (br, bc) = d.op_b.apply_dims(k, n);
-        let a_one = required_len(ar, ac, d.lda);
-        let b_one = required_len(br, bc, d.ldb);
-        let c_one = required_len(m, n, d.ldc);
-        for i in 0..self.batch {
-            let av =
-                MatRef::from_slice(&d.a[i * d.stride_a..i * d.stride_a + a_one], ar, ac, d.lda);
-            let bv =
-                MatRef::from_slice(&d.b[i * d.stride_b..i * d.stride_b + b_one], br, bc, d.ldb);
-            let cv =
-                MatMut::from_slice(&mut c[i * d.stride_c..i * d.stride_c + c_one], m, n, d.ldc);
-            let res = match cancel {
-                Some(token) => self.item.try_execute_cancellable_with_metrics(
-                    d.alpha, d.op_a, av, d.op_b, bv, d.beta, cv, ctx, token, sink,
-                ),
-                None => self.item.try_execute_with_metrics(
-                    d.alpha, d.op_a, av, d.op_b, bv, d.beta, cv, ctx, sink,
-                ),
-            };
-            res.map(|_| ()).map_err(|e| match e {
-                // Cancellation is a batch-level outcome, same as on the
-                // DAG path; everything else names the failing item.
-                GemmError::Cancelled | GemmError::DeadlineExceeded => e,
-                other => GemmError::BatchItem { index: i, source: Box::new(other) },
-            })?;
-        }
-        if K::ENABLED {
-            sink.record_batch(self.batch, 1, 0.0);
-        }
-        Ok(())
-    }
-
-    fn execute_dag<K: MetricsSink>(
-        &self,
-        d: &StridedBatch<'_, S>,
-        c: &mut [S],
-        ctx: &mut GemmContext<S>,
-        cancel: Option<&CancelToken>,
-        sink: &mut K,
-    ) -> Result<(), GemmError> {
-        let input = BatchInput::Strided {
-            a: d.a,
-            lda: d.lda,
-            stride_a: d.stride_a,
-            b: d.b,
-            ldb: d.ldb,
-            stride_b: d.stride_b,
-            c,
-            ldc: d.ldc,
-            stride_c: d.stride_c,
-        };
-        self.run_dag(input, d.op_a, d.op_b, d.alpha, d.beta, ctx, cancel, sink)
-    }
-
-    /// Executes the batch DAG over an explicit per-item pointer table —
-    /// the [`crate::service::GemmService`] coalescing path, where items
-    /// live in unrelated request buffers.
+    /// Executes the batch over an explicit per-item pointer table — the
+    /// [`crate::service::GemmService`] coalescing path, where items live
+    /// in unrelated request buffers.
     ///
     /// # Safety
     ///
@@ -368,248 +278,139 @@ impl<S: Scalar> BatchPlan<S> {
                 c: self.batch,
             });
         }
-        if self.dag.is_none() {
-            return Err(GemmError::InvalidConfig {
-                reason: "batch DAG unavailable for the item-table path",
-            });
-        }
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        self.run_dag(BatchInput::Items(items), op_a, op_b, alpha, beta, ctx, cancel, sink)
+        let input = BatchInput::Items(items.as_ptr());
+        let spec = IoSpec { input, dims: self.item.dims(), ops: (op_a, op_b), alpha, beta };
+        self.execute_spec(spec, ctx, cancel, sink)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_dag<K: MetricsSink>(
+    /// Runs validated items: the batch graph, or — for what the graph
+    /// does not cover (verification retries, non-finite scans, the α = 0
+    /// early-out, split or degenerate item plans) — the per-item loop,
+    /// which is also the semantic reference the property tests pin the
+    /// graph against.
+    ///
+    /// # Safety
+    /// As [`Self::try_execute_items`], for every item of `spec.input`.
+    unsafe fn execute_spec<K: MetricsSink>(
         &self,
-        input: BatchInput<'_, S>,
-        op_a: Op,
-        op_b: Op,
-        alpha: S,
-        beta: S,
+        spec: IoSpec<S>,
         ctx: &mut GemmContext<S>,
         cancel: Option<&CancelToken>,
         sink: &mut K,
     ) -> Result<(), GemmError> {
-        let dag = self.dag.as_ref().expect("run_dag requires a compiled batch DAG");
-        let (m, k, n) = self.item.dims();
-        let w = self.window;
-        let slab_need = w * dag.slot_slab;
-        let old_lens = [ctx.a_buf.len(), ctx.b_buf.len(), ctx.c_buf.len(), ctx.ws.len()];
+        if let Some(token) = cancel {
+            token.check()?;
+        }
+        let cfg = self.item.config();
+        let graph = self.graph.as_ref().filter(|_| {
+            cfg.verify == VerifyMode::Off
+                && cfg.non_finite == NonFinitePolicy::Propagate
+                && spec.alpha != S::ZERO
+        });
+        match (graph, self.item.tiled()) {
+            (Some(graph), Some(tp)) => {
+                self.run_graph(graph, tp, GraphIo::from_raw(spec), ctx, cancel, sink)
+            }
+            _ => self.execute_serial(spec, ctx, cancel, sink),
+        }
+    }
+
+    /// The per-item loop: one planned execution per item on the shared
+    /// context, outputs written in batch order.
+    ///
+    /// # Safety
+    /// As [`Self::try_execute_items`], for every item of `spec.input`.
+    unsafe fn execute_serial<K: MetricsSink>(
+        &self,
+        spec: IoSpec<S>,
+        ctx: &mut GemmContext<S>,
+        cancel: Option<&CancelToken>,
+        sink: &mut K,
+    ) -> Result<(), GemmError> {
+        let IoSpec { input, dims: (m, k, n), ops: (op_a, op_b), alpha, beta } = spec;
+        let (ar, ac) = op_a.apply_dims(m, k);
+        let (br, bc) = op_b.apply_dims(k, n);
+        for i in 0..self.batch {
+            let it = input.item(i);
+            let av = MatRef::from_raw_parts(it.a, ar, ac, it.lda);
+            let bv = MatRef::from_raw_parts(it.b, br, bc, it.ldb);
+            let cv = MatMut::from_raw_parts(it.c, m, n, it.ldc);
+            let res = match cancel {
+                Some(token) => self.item.try_execute_cancellable_with_metrics(
+                    alpha, op_a, av, op_b, bv, beta, cv, ctx, token, sink,
+                ),
+                None => self
+                    .item
+                    .try_execute_with_metrics(alpha, op_a, av, op_b, bv, beta, cv, ctx, sink),
+            };
+            res.map(|_| ()).map_err(|e| match e {
+                // Cancellation is a batch-level outcome, same as on the
+                // graph path; everything else names the failing item.
+                GemmError::Cancelled | GemmError::DeadlineExceeded => e,
+                other => GemmError::BatchItem { index: i, source: Box::new(other) },
+            })?;
+        }
         if K::ENABLED {
-            let tp = self.item.tiled().expect("a batch DAG implies a tiled plan");
+            sink.record_batch(self.batch, 1, 0.0);
+        }
+        Ok(())
+    }
+
+    /// Runs the batch graph on `ctx` and books the batch's metrics.
+    fn run_graph<K: MetricsSink>(
+        &self,
+        graph: &TaskGraph,
+        tp: &TiledPlan,
+        io: GraphIo<'_, S>,
+        ctx: &mut GemmContext<S>,
+        cancel: Option<&CancelToken>,
+        sink: &mut K,
+    ) -> Result<(), GemmError> {
+        if K::ENABLED {
+            let (m, k, n) = self.item.dims();
+            let slab = graph.slab_len();
             sink.record_problem(m, k, n);
             sink.record_tuning(self.item.profile_hit());
             // One planned-execution record per batch, one plan-facts
             // record per item: aggregate flop/padding accounting scales
             // with the work actually done.
-            sink.record_plan_execution((slab_need * size_of::<S>()) as u64);
+            sink.record_plan_execution((slab * size_of::<S>()) as u64);
             for _ in 0..self.batch {
                 sink.record_plan(tp.facts);
             }
-            sink.record_workspace(slab_need, slab_need * size_of::<S>());
-            sink.record_kernel(dag.policy.kernel);
+            sink.record_workspace(slab, slab * size_of::<S>());
+            sink.record_kernel(tp.policy.kernel);
             sink.record_bytes_packed(
-                crate::counts::packed_bytes(tp.layouts, dag.policy, size_of::<S>())
+                crate::counts::packed_bytes(tp.layouts, tp.policy, size_of::<S>())
                     * self.batch as u64,
             );
         }
-        let a_arena = try_grow(&mut ctx.a_buf, w * dag.slot_a)?;
-        let b_arena = try_grow(&mut ctx.b_buf, w * dag.slot_b)?;
-        let c_arena = try_grow(&mut ctx.c_buf, w * dag.slot_c)?;
-        let ws = try_grow(&mut ctx.ws, slab_need)?;
-        let geom = BatchGeom {
-            m,
-            k,
-            n,
-            op_a,
-            op_b,
-            slot_a: dag.slot_a,
-            slot_b: dag.slot_b,
-            slot_c: dag.slot_c,
-        };
-        let (convert_nanos, overlap_nanos) = run_batch_graph(
-            &dag.graph,
-            &dag.levels,
-            &dag.level_layouts,
-            dag.policy,
-            dag.threads,
-            input,
-            geom,
-            alpha,
-            beta,
-            a_arena,
-            b_arena,
-            c_arena,
-            ws,
-            &mut ctx.pool,
-            cancel,
-            sink,
-        )?;
+        let times = run_on_context(graph, tp, io, ctx, cancel, sink)?;
         if K::ENABLED {
-            let new_lens = [ctx.a_buf.len(), ctx.b_buf.len(), ctx.c_buf.len(), ctx.ws.len()];
-            let mut count = 0u64;
-            let mut elems = 0u64;
-            for (old, new) in old_lens.into_iter().zip(new_lens) {
-                if new > old {
-                    count += 1;
-                    elems += (new - old) as u64;
-                }
-            }
-            if count > 0 {
-                sink.record_temp_allocs(count, elems, elems * size_of::<S>() as u64);
-            }
-            let fraction =
-                if convert_nanos == 0 { 0.0 } else { overlap_nanos as f64 / convert_nanos as f64 };
-            sink.record_batch(self.batch, w, fraction);
+            sink.record_batch(self.batch, graph.window, times.overlap_fraction);
         }
         Ok(())
     }
 }
 
-/// The in-flight window: requested (or `2·threads` capped to the batch
-/// when auto), then budget-capped so `w` slots of packed operands plus
-/// slab fit the [`crate::config::MemoryBudget`] — window admission
-/// degrades toward 1 before the item plan loses recursion depth.
-fn resolve_window<S: Scalar>(eff: &ModgemmConfig, item: &GemmPlan<S>, batch: usize) -> usize {
-    let Some(tp) = item.tiled() else {
-        return 1;
+/// The in-flight window: requested (or, when auto, `2 · workers` on the
+/// pool and 1 inline) capped to the batch, then budget-capped so `w`
+/// slots of packed operands plus slab fit the
+/// [`crate::config::MemoryBudget`] — window admission degrades toward 1
+/// before the item plan loses recursion depth.
+fn resolve_window<S: Scalar>(eff: &ModgemmConfig, tp: &TiledPlan, batch: usize) -> usize {
+    let workers = tp.workers(batch);
+    let requested = match eff.batch_window {
+        0 if workers < 2 => 1,
+        0 => 2 * workers,
+        w => w,
     };
-    let requested = if eff.batch_window > 0 { eff.batch_window } else { (2 * tp.threads).max(2) };
-    let requested = requested.min(batch.max(1));
-    let per_slot = crate::counts::batch_slot_elems(tp.layouts, tp.policy, item_depth(item));
+    let per_slot = crate::counts::batch_slot_elems(tp.layouts, tp.policy, tp.depth);
     crate::counts::batch_window_cap(
-        requested,
+        requested.min(batch.max(1)),
         per_slot,
         eff.memory_budget.max_elements(size_of::<S>()),
     )
-}
-
-/// Parallel recursion depth of the item's compute subtree (0 = the whole
-/// item is one `Leaf` task).
-fn item_depth<S: Scalar>(item: &GemmPlan<S>) -> usize {
-    item.tiled().and_then(|tp| tp.par.as_ref()).map_or(0, |p| p.level_layouts.len() - 1)
-}
-
-/// Splits `units` work units into `chunks` near-equal half-open ranges.
-fn ranges(units: usize, chunks: usize) -> impl Iterator<Item = (usize, usize)> {
-    let per = units / chunks.max(1);
-    let rem = units % chunks.max(1);
-    (0..chunks).scan(0usize, move |acc, i| {
-        let len = per + usize::from(i < rem);
-        let r0 = *acc;
-        *acc += len;
-        Some((r0, *acc))
-    })
-}
-
-/// Conversion/epilogue chunk count for one item-side: enough chunks to
-/// spread across workers, never below [`CONVERT_CHUNK_ELEMS`] elements
-/// each (unless a single unit is smaller), never more than `units`.
-fn chunk_count(total_elems: usize, units: usize, threads: usize) -> usize {
-    (total_elems / CONVERT_CHUNK_ELEMS).max(1).min(threads).min(units).max(1)
-}
-
-/// Emits the convert chunk tasks of one item-side and returns the task
-/// gating "this side's slot region is fully packed" (the single chunk
-/// itself, or a zero-work join).
-fn convert_gate(
-    b: &mut DagBuilder,
-    kind: TaskKind,
-    item: u32,
-    slot: u32,
-    units: usize,
-    chunks: usize,
-    after: Option<u32>,
-) -> u32 {
-    let mut parts: Vec<Option<u32>> = Vec::with_capacity(chunks);
-    for (r0, r1) in ranges(units, chunks) {
-        let chunk = BatchChunk { item, slot, r0: r0 as u32, r1: r1 as u32 };
-        parts.push(Some(b.chunk_task(kind, chunk, &[after])));
-    }
-    match parts[..] {
-        [Some(only)] => only,
-        _ => b.task(TaskKind::Gate, 0, &parts),
-    }
-}
-
-/// Lowers the whole batch into one task DAG (or `None` when overlap can't
-/// pay: untiled/degenerate plans, a single worker, or fewer than two
-/// items).
-fn build_dag<S: Scalar>(item: &GemmPlan<S>, batch: usize, window: usize) -> Option<BatchDag> {
-    let tp = item.tiled()?;
-    if tp.threads < 2 || batch < 2 {
-        return None;
-    }
-    let layouts = tp.layouts;
-    let depth = item_depth(item);
-    let slot_a = layouts.a.len();
-    let slot_b = layouts.b.len();
-    let slot_c = layouts.c.len();
-    let slot_slab = crate::plan::parallel_slab_len(layouts, tp.policy, depth);
-    let tiles_a = slot_a / layouts.a.tile_len();
-    let tiles_b = slot_b / layouts.b.tile_len();
-    let grid_c = layouts.c.grid();
-    let ca = chunk_count(slot_a, tiles_a, tp.threads);
-    let cb = chunk_count(slot_b, tiles_b, tp.threads);
-    let cu = chunk_count(slot_c, grid_c, tp.threads);
-
-    let mut b = DagBuilder::new(tp.policy);
-    // Window admission is encoded as edges: the first task of item `i`
-    // depends on the done gate of item `i − w` (its slot's previous
-    // occupant), so at most `w` items have live arena slots and the
-    // first `w` items' converts are DAG roots, ready at submit.
-    let mut prev_done: Vec<Option<u32>> = vec![None; window];
-    for i in 0..batch {
-        let slot = i % window;
-        let after = prev_done[slot];
-        let a_gate =
-            convert_gate(&mut b, TaskKind::ConvertA, i as u32, slot as u32, tiles_a, ca, after);
-        let b_gate =
-            convert_gate(&mut b, TaskKind::ConvertB, i as u32, slot as u32, tiles_b, cb, after);
-        // The item's compute subtree is the ordinary single-GEMM
-        // lowering, re-based onto its window slot: operand/output places
-        // at `slot · span` and the slab share at `slot · slot_slab`.
-        let root = b.build_node(
-            layouts,
-            0,
-            depth,
-            Place { in_slab: false, off: slot * slot_a },
-            Place { in_slab: false, off: slot * slot_b },
-            Place { in_slab: false, off: slot * slot_c },
-            slot * slot_slab,
-            Some(a_gate),
-            Some(b_gate),
-        );
-        let mut parts: Vec<Option<u32>> = Vec::with_capacity(cu);
-        for (r0, r1) in ranges(grid_c, cu) {
-            let chunk =
-                BatchChunk { item: i as u32, slot: slot as u32, r0: r0 as u32, r1: r1 as u32 };
-            parts.push(Some(b.chunk_task(TaskKind::Unpack, chunk, &[Some(root)])));
-        }
-        let done = match parts[..] {
-            [Some(only)] => only,
-            _ => b.task(TaskKind::Gate, 0, &parts),
-        };
-        prev_done[slot] = Some(done);
-    }
-    let mut graph = b.finish();
-    graph.slab_len = window * slot_slab;
-    let level_layouts = match &tp.par {
-        Some(p) => p.level_layouts.clone(),
-        None => vec![layouts],
-    };
-    Some(BatchDag {
-        graph,
-        levels: tp.levels.clone(),
-        level_layouts,
-        policy: tp.policy,
-        threads: tp.threads,
-        slot_a,
-        slot_b,
-        slot_c,
-        slot_slab,
-    })
 }
 
 /// One leading-dimension check plus one whole-batch length check for a
@@ -681,45 +482,53 @@ mod batch_tests {
 
     #[test]
     fn batch_dag_matches_serial_reference() {
-        let (m, k, n, batch) = (24, 20, 28, 5);
-        let cfg = cfg_threads(3);
-        let plan: BatchPlan<f64> = BatchPlan::try_new(m, k, n, batch, &cfg).unwrap();
-        assert!(plan.parallel_tasks() > 0, "multi-thread multi-item batch must lower to a DAG");
-        // Ragged leading dimensions, padded strides, and op(B) = Bᵀ
-        // (stored n × k): the DAG's converts must honor all of it.
-        let (lda, ldb, ldc) = (m + 1, n + 2, m + 3);
-        let sa = required_len(m, k, lda) + 5;
-        let sb = required_len(n, k, ldb) + 2;
-        let sc = required_len(m, n, ldc) + 1;
-        let a = filled((batch - 1) * sa + required_len(m, k, lda), |i| (i % 13) as f64 - 6.0);
-        let b = filled((batch - 1) * sb + required_len(n, k, ldb), |i| (i % 7) as f64 * 0.5);
-        let c0 = filled((batch - 1) * sc + required_len(m, n, ldc), |i| (i % 5) as f64);
-        let desc = StridedBatch {
-            alpha: 1.25,
-            op_a: Op::NoTrans,
-            a: &a,
-            lda,
-            stride_a: sa,
-            op_b: Op::Trans,
-            b: &b,
-            ldb,
-            stride_b: sb,
-            beta: -0.5,
-            ldc,
-            stride_c: sc,
-        };
-        let mut got = c0.clone();
-        let mut want = c0.clone();
-        let mut ctx = GemmContext::new();
-        let mut sink = CollectingSink::default();
-        plan.try_execute_with_metrics(&desc, &mut got, &mut ctx, &mut sink).unwrap();
-        reference(plan.item_plan(), &desc, &mut want, batch);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "elem {i}: {g} vs {w}");
+        // At every thread count and batch size a tiled item plan lowers to
+        // one graph — inline with one worker (auto window 1), pooled when
+        // the batch gives two or more workers something to overlap — that
+        // matches the per-item loop.
+        let (m, k, n) = (24, 20, 28);
+        for (threads, batch) in [(1usize, 1usize), (1, 5), (3, 1), (3, 5)] {
+            let plan: BatchPlan<f64> =
+                BatchPlan::try_new(m, k, n, batch, &cfg_threads(threads)).expect("valid plan");
+            let graph = plan.graph.as_ref().expect("every tiled batch lowers to a graph");
+            let pooled = threads >= 2 && batch >= 2;
+            assert_eq!(graph.workers, if pooled { threads } else { 1 });
+            assert!(pooled || plan.window() == 1, "the auto window is 1 inline");
+            // Ragged leading dimensions, padded strides, and op(B) = Bᵀ
+            // (stored n × k): the converts must honor all of it.
+            let (lda, ldb, ldc) = (m + 1, n + 2, m + 3);
+            let sa = required_len(m, k, lda) + 5;
+            let sb = required_len(n, k, ldb) + 2;
+            let sc = required_len(m, n, ldc) + 1;
+            let a = filled((batch - 1) * sa + required_len(m, k, lda), |i| (i % 13) as f64 - 6.0);
+            let b = filled((batch - 1) * sb + required_len(n, k, ldb), |i| (i % 7) as f64 * 0.5);
+            let c0 = filled((batch - 1) * sc + required_len(m, n, ldc), |i| (i % 5) as f64);
+            let desc = StridedBatch {
+                alpha: 1.25,
+                op_a: Op::NoTrans,
+                a: &a,
+                lda,
+                stride_a: sa,
+                op_b: Op::Trans,
+                b: &b,
+                ldb,
+                stride_b: sb,
+                beta: -0.5,
+                ldc,
+                stride_c: sc,
+            };
+            let mut got = c0.clone();
+            let mut want = c0.clone();
+            let mut sink = CollectingSink::default();
+            plan.try_execute_with_metrics(&desc, &mut got, &mut GemmContext::new(), &mut sink)
+                .unwrap();
+            reference(plan.item_plan(), &desc, &mut want, batch);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "elem {i}: {g} vs {w}");
+            }
+            let metrics = sink.into_metrics();
+            assert_eq!((metrics.batch_items, metrics.batch_window), (batch as u64, plan.window()));
         }
-        let m = sink.into_metrics();
-        assert_eq!(m.batch_items, batch as u64);
-        assert!(m.batch_window >= 1);
     }
 
     #[test]
@@ -810,8 +619,8 @@ mod batch_tests {
             stride_c: 0,
         };
         plan.try_execute(&d, &mut [], &mut ctx).unwrap();
-        // k = 0 has no tiled strategy: the serial loop applies the β
-        // scaling per item.
+        // k = 0 has no tiled strategy, hence no graph: the per-item loop
+        // applies the β scaling.
         let plan: BatchPlan<f64> = BatchPlan::try_new(2, 0, 2, 2, &cfg).unwrap();
         assert_eq!(plan.parallel_tasks(), 0);
         let mut c = vec![2.0; 8];

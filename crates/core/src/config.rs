@@ -156,11 +156,13 @@ pub struct ModgemmConfig {
     /// Worker count for the work-stealing pool (calling thread included).
     /// `0` (default) resolves via the `MODGEMM_THREADS` environment
     /// variable, falling back to `std::thread::available_parallelism`
-    /// (see [`crate::pool::resolve_threads`]). Takes effect only when
-    /// `parallel_depth > 0`; a resolved count of 1 runs serially.
+    /// (see [`crate::pool::resolve_threads`]). A call's task graph runs
+    /// on the pool only when it has parallel work — a parallel Strassen
+    /// level (`parallel_depth > 0`) or a batch of two or more items —
+    /// and the resolved count is at least 2; otherwise it runs inline on
+    /// the calling thread. Morton conversion and the result unpack are
+    /// tasks of the same graph, so they share the same workers.
     pub threads: usize,
-    /// Use multi-threaded Morton conversion.
-    pub parallel_convert: bool,
     /// Cap on the Strassen workspace; recursion depth degrades to fit.
     pub memory_budget: MemoryBudget,
     /// Handling of `NaN`/`Inf` operand values on the fallible path.
@@ -223,7 +225,6 @@ impl Default for ModgemmConfig {
             strassen_min: 0,
             parallel_depth: 0,
             threads: 0,
-            parallel_convert: false,
             memory_budget: MemoryBudget::Unlimited,
             non_finite: NonFinitePolicy::Propagate,
             verify: VerifyMode::Off,

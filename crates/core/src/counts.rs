@@ -59,8 +59,8 @@ pub fn strassen_flops(layouts: NodeLayouts, policy: ExecPolicy) -> u64 {
 ///
 /// [`crate::exec::workspace_len`] sums this expression over the staged
 /// levels (plus the fused-leaf footprint) to size the serial arena;
-/// `GemmPlan` arena sizing, `gemm::buffer_needs`, and service
-/// admission all consult it through that path.
+/// `GemmPlan` arena sizing — and through it context reservation and
+/// service admission — consults it through that path.
 pub fn schedule_level_extra_elems(sched: Schedule, layouts: NodeLayouts) -> usize {
     sched.level_temp_elems(
         layouts.a.quadrant_len(),

@@ -451,8 +451,8 @@ impl ExecMetrics {
         }
     }
 
-    /// Total exclusive per-level time (≈ compute time when instrumented
-    /// through the serial executor).
+    /// Total exclusive per-level time (≈ compute time when the graph runs
+    /// inline on one worker).
     pub fn level_time_total(&self) -> Duration {
         self.level_times.iter().sum()
     }

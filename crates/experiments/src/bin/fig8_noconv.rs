@@ -9,7 +9,9 @@
 //! DGEFMM at nearly all sizes.
 
 use modgemm_baselines::{dgefmm, DgefmmConfig};
-use modgemm_core::{layouts_of, modgemm, modgemm_premorton, ModgemmConfig, MortonMatrix};
+use modgemm_core::{
+    layouts_of, modgemm, modgemm_premorton, GemmContext, ModgemmConfig, MortonMatrix,
+};
 use modgemm_experiments::{ms, protocol, ratio, Cli, JsonArtifact, Table};
 use modgemm_mat::gen::random_problem;
 use modgemm_mat::{Matrix, Op};
@@ -44,14 +46,16 @@ fn main() {
             std::hint::black_box(c.as_slice());
         });
 
-        // Pre-pack outside the timer.
+        // Pre-pack outside the timer; one context serves every timed
+        // call, so its workspace is allocated once, not per call.
         let plan = mod_cfg.plan(n, n, n).expect("square sizes are always feasible");
         let layouts = layouts_of(&plan);
         let mut am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
         let mut bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
         let mut cm = MortonMatrix::zeros(n, n, layouts.c);
+        let mut ctx = GemmContext::new();
         let t_noconv = protocol::measure(n, || {
-            modgemm_premorton(&mut am, &mut bm, &mut cm, &mod_cfg);
+            modgemm_premorton(&mut am, &mut bm, &mut cm, &mod_cfg, &mut ctx);
             std::hint::black_box(cm.as_slice());
         });
 

@@ -10,7 +10,10 @@
 //!
 //! The pack walks tiles in **buffer order** (Morton code order), so writes
 //! to the destination are perfectly sequential; reads from the column-major
-//! source are the strided part. The unpack is the mirror image.
+//! source are the strided part. The unpack walks **tile columns**, so each
+//! range of them owns a disjoint block of destination columns: that is
+//! the unit the GEMM execution graph splits the unpack into, and a single
+//! full-range call is [`from_morton`].
 
 use modgemm_mat::view::{MatMut, MatRef, Op};
 use modgemm_mat::Scalar;
@@ -118,68 +121,77 @@ pub fn from_morton<S: Scalar>(src: &[S], layout: &MortonLayout, mut dst: MatMut<
         layout.rows(),
         layout.cols()
     );
-    let (tm, tn) = (layout.tile_rows, layout.tile_cols);
-    let tile_len = layout.tile_len();
-
-    for (z, tile) in src.chunks_exact(tile_len).enumerate() {
-        let (tr, tc) = deinterleave2(z, layout.depth);
-        let row0 = tr * tm;
-        let col0 = tc * tn;
-        let live_r = lr.saturating_sub(row0).min(tm);
-        let live_c = lc.saturating_sub(col0).min(tn);
-        if live_r == 0 {
-            continue;
-        }
-        for jj in 0..live_c {
-            let src_col = &tile[jj * tm..jj * tm + live_r];
-            let dst_col = &mut dst.col_mut(col0 + jj)[row0..row0 + live_r];
-            dst_col.copy_from_slice(src_col);
-        }
+    let (ld, grid) = (dst.ld(), layout.grid());
+    // SAFETY: `dst` is an exclusive borrow of an `lr × lc` window with
+    // leading dimension `ld`, and one call covers every tile column.
+    unsafe {
+        unpack_tile_cols_raw(src, layout, S::ONE, S::ZERO, dst.as_mut_ptr(), ld, lr, lc, 0, grid)
     }
 }
 
-/// Unpacks with a fused update: `dst ← α·morton + β·dst` over the live
-/// region. Used by the BLAS interface's post-processing step (§3.5:
-/// `C ← α·D + β·C`) without materializing `D` in column-major form.
-#[track_caller]
-pub fn from_morton_axpby<S: Scalar>(
+/// Unpacks tile columns `[tc0, tc1)` of the Morton buffer `src` into a
+/// raw column-major destination, applying `dst ← α·src + β·dst` over the
+/// live region (`β = 0` writes without reading `dst` — BLAS semantics).
+/// This is the one unpack routine: the task-granular unit of the GEMM
+/// execution graph (each task owns a disjoint tile-column range, hence
+/// a disjoint destination column block), and with the full range the
+/// body of [`from_morton`].
+///
+/// `lr × lc` are the logical destination dimensions; `ld` its leading
+/// dimension (column stride).
+///
+/// # Safety
+/// `dst` must be valid for writes of an `lr × lc` column-major matrix
+/// with leading dimension `ld ≥ lr`, and concurrent callers over the
+/// same destination must cover disjoint tile-column ranges.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn unpack_tile_cols_raw<S: Scalar>(
     src: &[S],
     layout: &MortonLayout,
     alpha: S,
     beta: S,
-    mut dst: MatMut<'_, S>,
+    dst: *mut S,
+    ld: usize,
+    lr: usize,
+    lc: usize,
+    tc0: usize,
+    tc1: usize,
 ) {
-    let (lr, lc) = dst.dims();
-    assert_eq!(src.len(), layout.len(), "source buffer length mismatch");
-    assert!(
-        lr <= layout.rows() && lc <= layout.cols(),
-        "destination {lr}x{lc} exceeds padded {}x{}",
-        layout.rows(),
-        layout.cols()
-    );
+    debug_assert_eq!(src.len(), layout.len());
+    debug_assert!(lr <= layout.rows() && lc <= layout.cols());
+    debug_assert!(tc0 <= tc1 && tc1 <= layout.grid());
     let (tm, tn) = (layout.tile_rows, layout.tile_cols);
-    let tile_len = layout.tile_len();
-
-    for (z, tile) in src.chunks_exact(tile_len).enumerate() {
-        let (tr, tc) = deinterleave2(z, layout.depth);
-        let row0 = tr * tm;
+    let grid = layout.grid();
+    for tc in tc0..tc1 {
         let col0 = tc * tn;
-        let live_r = lr.saturating_sub(row0).min(tm);
-        let live_c = lc.saturating_sub(col0).min(tn);
-        if live_r == 0 {
-            continue;
+        if col0 >= lc {
+            break;
         }
-        for jj in 0..live_c {
-            let src_col = &tile[jj * tm..jj * tm + live_r];
-            let dst_col = &mut dst.col_mut(col0 + jj)[row0..row0 + live_r];
-            if beta == S::ZERO {
-                // BLAS semantics: β = 0 means C is not read (garbage,
-                // including NaN, must not propagate).
-                for (d, &s) in dst_col.iter_mut().zip(src_col) {
-                    *d = alpha * s;
+        let live_c = (lc - col0).min(tn);
+        for tr in 0..grid {
+            let row0 = tr * tm;
+            if row0 >= lr {
+                break;
+            }
+            let live_r = (lr - row0).min(tm);
+            let tile0 = layout.tile_offset(tr, tc);
+            for jj in 0..live_c {
+                let src_col = &src[tile0 + jj * tm..tile0 + jj * tm + live_r];
+                // SAFETY (caller contract): this task owns destination
+                // columns `[tc0·tn, tc1·tn)` — a disjoint column block.
+                let p = dst.add((col0 + jj) * ld + row0);
+                if alpha == S::ONE && beta == S::ZERO {
+                    std::ptr::copy_nonoverlapping(src_col.as_ptr(), p, live_r);
+                } else {
+                    let dst_col = std::slice::from_raw_parts_mut(p, live_r);
+                    if beta == S::ZERO {
+                        for (d, &s) in dst_col.iter_mut().zip(src_col) {
+                            *d = alpha * s;
+                        }
+                    } else {
+                        modgemm_mat::addsub::axpby_flat(alpha, src_col, beta, dst_col);
+                    }
                 }
-            } else {
-                modgemm_mat::addsub::axpby_flat(alpha, src_col, beta, dst_col);
             }
         }
     }

@@ -33,10 +33,7 @@ pub mod layout;
 pub mod par_convert;
 pub mod tiling;
 
-pub use convert::{from_morton, from_morton_axpby, pack_tile_range, to_morton};
+pub use convert::{from_morton, pack_tile_range, to_morton, unpack_tile_cols_raw};
 pub use layout::MortonLayout;
-pub use par_convert::{
-    par_from_morton, par_from_morton_with, par_to_morton, par_to_morton_with, unpack_tile_cols_raw,
-    TileExecutor,
-};
+pub use par_convert::{par_from_morton, par_to_morton};
 pub use tiling::{choose_dim_tiling, choose_joint_tiling, DimTiling, JointTiling, TileRange};

@@ -7,12 +7,12 @@
 //! parallelizes over tile *columns* so each worker owns a disjoint block
 //! of destination columns.
 //!
-//! Where the threads come from is the caller's choice, via the
-//! [`TileExecutor`] trait: the legacy entry points ([`par_to_morton`],
-//! [`par_from_morton`]) spawn scoped OS threads per call, while the
-//! `_with` forms run the same disjoint jobs on an external executor —
-//! `modgemm-core` passes its persistent work-stealing pool, so GEMM
-//! conversion and compute share one set of warm threads.
+//! [`par_to_morton`] and [`par_from_morton`] spawn scoped OS threads per
+//! call; they are the standalone conversion kernels the Figure 7
+//! measurements time. GEMM execution does not use them: `modgemm-core`
+//! lowers conversion into ordinary tasks of its execution graph, built
+//! from the same task-granular units ([`crate::convert::pack_tile_range`]
+//! and [`crate::convert::unpack_tile_cols_raw`]).
 
 use modgemm_mat::view::{MatMut, MatRef, Op};
 use modgemm_mat::Scalar;
@@ -24,32 +24,18 @@ use crate::layout::MortonLayout;
 /// spawning.
 const PAR_THRESHOLD: usize = 64 * 1024;
 
-/// Something that can run `jobs` independent closures-of-index, possibly
-/// in parallel. Job bodies write disjoint memory, so any execution order
-/// (including fully serial) is correct; implementations must run every
-/// index in `0..jobs` exactly once and return only when all are done.
-pub trait TileExecutor {
-    /// Runs `body(0)`, `body(1)`, …, `body(jobs - 1)`, returning after
-    /// the last one finishes.
-    fn for_each(&self, jobs: usize, body: &(dyn Fn(usize) + Sync));
-}
-
-/// The default executor of the legacy entry points: one scoped OS thread
-/// per job beyond the caller's own.
-struct ScopedThreads;
-
-impl TileExecutor for ScopedThreads {
-    fn for_each(&self, jobs: usize, body: &(dyn Fn(usize) + Sync)) {
-        match jobs {
-            0 => {}
-            1 => body(0),
-            _ => std::thread::scope(|scope| {
-                for w in 1..jobs {
-                    scope.spawn(move || body(w));
-                }
-                body(0);
-            }),
-        }
+/// Runs `body(0)`, …, `body(jobs - 1)` on one scoped OS thread per job
+/// beyond the caller's own, returning after the last one finishes.
+fn scoped_for_each(jobs: usize, body: &(dyn Fn(usize) + Sync)) {
+    match jobs {
+        0 => {}
+        1 => body(0),
+        _ => std::thread::scope(|scope| {
+            for w in 1..jobs {
+                scope.spawn(move || body(w));
+            }
+            body(0);
+        }),
     }
 }
 
@@ -76,16 +62,14 @@ unsafe impl<S> Sync for SendPtr<S> {}
 /// Parallel version of [`convert::to_morton`].
 #[track_caller]
 pub fn par_to_morton<S: Scalar>(src: MatRef<'_, S>, op: Op, layout: &MortonLayout, dst: &mut [S]) {
-    par_to_morton_with(&ScopedThreads, worker_count(layout.len()), src, op, layout, dst);
+    pack_capped(worker_count(layout.len()), src, op, layout, dst);
 }
 
-/// [`par_to_morton`] on an external [`TileExecutor`] with at most
-/// `max_workers` jobs. Small problems (under `PAR_THRESHOLD` elements
-/// per worker) run serially on the calling thread regardless of the
-/// executor.
+/// [`par_to_morton`] with at most `max_workers` threads. Small problems
+/// (under `PAR_THRESHOLD` elements per worker) run serially on the
+/// calling thread.
 #[track_caller]
-pub fn par_to_morton_with<S: Scalar>(
-    exec: &dyn TileExecutor,
+fn pack_capped<S: Scalar>(
     max_workers: usize,
     src: MatRef<'_, S>,
     op: Op,
@@ -120,89 +104,20 @@ pub fn par_to_morton_with<S: Scalar>(
         };
         convert::pack_tile_range(src, op, layout, range, z0, z1);
     };
-    exec.for_each(jobs, &body);
-}
-
-/// Unpacks tile columns `[tc0, tc1)` of the Morton buffer `src` into a
-/// raw column-major destination, applying `dst ← α·src + β·dst` over the
-/// live region (`β = 0` writes without reading `dst` — BLAS semantics).
-/// This is the task-granular unpack unit of the batch DAG: each task
-/// owns a disjoint tile-column range, hence a disjoint destination
-/// column block.
-///
-/// `lr × lc` are the logical destination dimensions; `ld` its leading
-/// dimension (column stride).
-///
-/// # Safety
-/// `dst` must be valid for writes of an `lr × lc` column-major matrix
-/// with leading dimension `ld ≥ lr`, and concurrent callers over the
-/// same destination must cover disjoint tile-column ranges.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn unpack_tile_cols_raw<S: Scalar>(
-    src: &[S],
-    layout: &MortonLayout,
-    alpha: S,
-    beta: S,
-    dst: *mut S,
-    ld: usize,
-    lr: usize,
-    lc: usize,
-    tc0: usize,
-    tc1: usize,
-) {
-    debug_assert_eq!(src.len(), layout.len());
-    debug_assert!(lr <= layout.rows() && lc <= layout.cols());
-    debug_assert!(tc0 <= tc1 && tc1 <= layout.grid());
-    let (tm, tn) = (layout.tile_rows, layout.tile_cols);
-    let grid = layout.grid();
-    for tc in tc0..tc1 {
-        let col0 = tc * tn;
-        if col0 >= lc {
-            break;
-        }
-        let live_c = (lc - col0).min(tn);
-        for tr in 0..grid {
-            let row0 = tr * tm;
-            if row0 >= lr {
-                break;
-            }
-            let live_r = (lr - row0).min(tm);
-            let tile0 = layout.tile_offset(tr, tc);
-            for jj in 0..live_c {
-                let src_col = &src[tile0 + jj * tm..tile0 + jj * tm + live_r];
-                // SAFETY (caller contract): this task owns destination
-                // columns `[tc0·tn, tc1·tn)` — a disjoint column block.
-                let p = dst.add((col0 + jj) * ld + row0);
-                if alpha == S::ONE && beta == S::ZERO {
-                    std::ptr::copy_nonoverlapping(src_col.as_ptr(), p, live_r);
-                } else {
-                    let dst_col = std::slice::from_raw_parts_mut(p, live_r);
-                    if beta == S::ZERO {
-                        for (d, &s) in dst_col.iter_mut().zip(src_col) {
-                            *d = alpha * s;
-                        }
-                    } else {
-                        modgemm_mat::addsub::axpby_flat(alpha, src_col, beta, dst_col);
-                    }
-                }
-            }
-        }
-    }
+    scoped_for_each(jobs, &body);
 }
 
 /// Parallel version of [`convert::from_morton`]: workers own disjoint
 /// column blocks of the destination.
 #[track_caller]
 pub fn par_from_morton<S: Scalar>(src: &[S], layout: &MortonLayout, dst: MatMut<'_, S>) {
-    par_from_morton_with(&ScopedThreads, worker_count(layout.len()), src, layout, dst);
+    unpack_capped(worker_count(layout.len()), src, layout, dst);
 }
 
-/// [`par_from_morton`] on an external [`TileExecutor`] with at most
-/// `max_workers` jobs. Small problems run serially on the calling thread
-/// regardless of the executor.
+/// [`par_from_morton`] with at most `max_workers` threads. Small
+/// problems run serially on the calling thread.
 #[track_caller]
-pub fn par_from_morton_with<S: Scalar>(
-    exec: &dyn TileExecutor,
+fn unpack_capped<S: Scalar>(
     max_workers: usize,
     src: &[S],
     layout: &MortonLayout,
@@ -233,10 +148,21 @@ pub fn par_from_morton_with<S: Scalar>(
         // `[tc0·tn, tc1·tn)` — disjoint column blocks of `dst` (column
         // stride `ld`).
         unsafe {
-            unpack_tile_cols_raw(src, layout, S::ONE, S::ZERO, base.0, ld, lr, lc, tc0, tc1);
+            convert::unpack_tile_cols_raw(
+                src,
+                layout,
+                S::ONE,
+                S::ZERO,
+                base.0,
+                ld,
+                lr,
+                lc,
+                tc0,
+                tc1,
+            );
         }
     };
-    exec.for_each(jobs, &body);
+    scoped_for_each(jobs, &body);
 }
 
 #[cfg(test)]
@@ -290,30 +216,19 @@ mod tests {
         assert_eq!(out, m);
     }
 
-    /// An executor that runs jobs serially but in *reverse* order — any
-    /// order must give the same answer because jobs are disjoint.
-    struct ReverseSerial;
-    impl TileExecutor for ReverseSerial {
-        fn for_each(&self, jobs: usize, body: &(dyn Fn(usize) + Sync)) {
-            for w in (0..jobs).rev() {
-                body(w);
-            }
-        }
-    }
-
     #[test]
-    fn external_executor_with_cap_matches_serial() {
+    fn worker_cap_matches_serial() {
         let m: Matrix<f64> = coordinate_matrix(600, 555);
         let layout = MortonLayout::new(38, 38, 4); // 608x608, ragged columns.
         let mut serial = vec![0.0; layout.len()];
         convert::to_morton(m.view(), Op::NoTrans, &layout, &mut serial);
         for cap in [1, 2, 3, 16] {
             let mut par = vec![1.0; layout.len()];
-            par_to_morton_with(&ReverseSerial, cap, m.view(), Op::NoTrans, &layout, &mut par);
+            pack_capped(cap, m.view(), Op::NoTrans, &layout, &mut par);
             assert_eq!(serial, par, "pack cap = {cap}");
 
             let mut out: Matrix<f64> = Matrix::zeros(600, 555);
-            par_from_morton_with(&ReverseSerial, cap, &serial, &layout, out.view_mut());
+            unpack_capped(cap, &serial, &layout, out.view_mut());
             assert_eq!(out, m, "unpack cap = {cap}");
         }
     }
