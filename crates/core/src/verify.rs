@@ -86,12 +86,18 @@ pub fn verify_gemm<S: Scalar>(
         op_gemv(b, op_b, &x, &mut bx);
         op_gemv(a, op_a, &bx, &mut abx);
         op_gemv(c, Op::NoTrans, &x, &mut cx);
-        op_gemv(c0, Op::NoTrans, &x, &mut c0x);
+        // β = 0 does not read C₀ (BLAS semantics): a NaN there must not
+        // leak into the reference.
+        if beta != S::ZERO {
+            op_gemv(c0, Op::NoTrans, &x, &mut c0x);
+        }
 
         for i in 0..m {
             let want = alpha * abx[i] + beta * c0x[i];
             let diff = (cx[i] - want).abs_val().to_f64();
-            if diff > tol {
+            // NaN compares false against any tolerance: a NaN entry
+            // against a finite reference is a corrupted product.
+            if diff > tol || (diff.is_nan() && want.abs_val().to_f64().is_finite()) {
                 return false;
             }
         }

@@ -57,6 +57,8 @@ fn chaos_soak_every_request_resolves_typed() {
         dispatchers: 4,
         memory_budget: MemoryBudget::MaxWorkspaceBytes(64 << 20),
         plan_cache_capacity: 16,
+        // Deadline-free, unverified requests coalesce into batch graphs.
+        batch_window: 4,
         gemm,
     }));
 

@@ -17,6 +17,18 @@ fn small_cfg() -> ModgemmConfig {
     }
 }
 
+/// A NaN in C — what the non-finite failpoint plants — compares false
+/// against every tolerance, so the check must reject it explicitly.
+#[test]
+fn rejects_nan_corruption() {
+    let a: Matrix<f64> = random_matrix(20, 30, 1);
+    let b: Matrix<f64> = random_matrix(30, 25, 2);
+    let mut c = naive_product(&a, &b);
+    assert!(verify_product(a.view(), b.view(), c.view(), 8, 3));
+    c.set(7, 11, f64::NAN);
+    assert!(!verify_product(a.view(), b.view(), c.view(), 8, 3));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
